@@ -248,35 +248,33 @@ def check_spill_bit_identity(bundle, series, *, steps: int) -> dict:
 def check_batched_bit_identity(
     bundle, series, *, sessions: int = 12, steps: int = 30
 ) -> dict:
-    """Acceptance: stacked-batch inference == per-session, exactly.
+    """Acceptance: the service's group pass == the serial step, exactly.
 
-    Two services over the same bundle — one with ``batched_inference``,
-    one without — are driven in lockstep: every step, all tenants
-    submit concurrently to the batched service (so the micro-batcher
-    coalesces them into stacked dispatches) and serially to the plain
-    one. Forecasts are compared bitwise per step, and at the end every
-    checkpoint array of every session (policy network parameters,
-    replay ring, state window, RNG state) must match to the byte.
+    A service and one twin session per tenant (built with
+    ``bundle.create_session``, stepped by ``SeriesSession.observe``) are
+    driven in lockstep: every step, all tenants submit concurrently to
+    the service (so the micro-batcher coalesces them into stacked
+    dispatches) and serially to their twins. Forecasts are compared
+    bitwise per step, and at the end every checkpoint array of every
+    session (policy network parameters, replay ring, state window, RNG
+    state) must match to the byte.
     """
-    def build(batched: bool) -> ForecastService:
-        return ForecastService(bundle, ServiceConfig(
-            max_sessions=sessions + 4,
-            spill_dir=tempfile.mkdtemp(prefix="bench-serving-batched-"),
-            batched_inference=batched,
-            batch_wait=0.01,
-            batch_size=sessions,
-            queue_limit=max(64, 4 * sessions),
-        ))
-
-    batched_svc, serial_svc = build(True), build(False)
+    service = ForecastService(bundle, ServiceConfig(
+        max_sessions=sessions + 4,
+        spill_dir=tempfile.mkdtemp(prefix="bench-serving-batched-"),
+        batch_wait=0.01,
+        batch_size=sessions,
+        queue_limit=max(64, 4 * sessions),
+    ))
     ids = [f"pair-{i:03d}" for i in range(sessions)]
+    twins = {}
     forecast_mismatches = 0
     state_mismatches = 0
     failures = []
     try:
         for sid in ids:
-            batched_svc.create_session(sid, series[:200])
-            serial_svc.create_session(sid, series[:200])
+            service.create_session(sid, series[:200])
+            twins[sid] = bundle.create_session(sid, series[:200])
         for step in range(steps):
             value = float(series[200 + step])
             batched_out: dict = {}
@@ -285,7 +283,7 @@ def check_batched_bit_identity(
             def client(sid: str) -> None:
                 barrier.wait()
                 try:
-                    batched_out[sid] = batched_svc.observe(sid, value)
+                    batched_out[sid] = service.observe(sid, value)
                 except Exception as err:  # noqa: BLE001 - recorded
                     failures.append((sid, step, repr(err)))
 
@@ -298,7 +296,7 @@ def check_batched_bit_identity(
             for thread in threads:
                 thread.join()
             for sid in ids:
-                serial_fc = serial_svc.observe(sid, value)["forecast"]
+                serial_fc = twins[sid].observe(value)
                 if sid not in batched_out:
                     continue
                 if np.float64(batched_out[sid]["forecast"]) != np.float64(
@@ -306,20 +304,18 @@ def check_batched_bit_identity(
                 ):
                     forecast_mismatches += 1
         for sid in ids:
-            with batched_svc.store.acquire(sid) as s1, \
-                    serial_svc.store.acquire(sid) as s2:
-                arrays1, _ = s1.checkpoint_state()
-                arrays2, _ = s2.checkpoint_state()
-                for key in set(arrays1) | set(arrays2):
-                    if key not in arrays1 or key not in arrays2 or (
-                        not np.array_equal(arrays1[key], arrays2[key])
-                    ):
-                        state_mismatches += 1
-        grouped_dispatches = batched_svc.batcher.grouped_dispatches
-        grouped_requests = batched_svc.batcher.grouped_requests
+            with service.store.acquire(sid) as session:
+                arrays1, _ = session.checkpoint_state()
+            arrays2, _ = twins[sid].checkpoint_state()
+            for key in set(arrays1) | set(arrays2):
+                if key not in arrays1 or key not in arrays2 or (
+                    not np.array_equal(arrays1[key], arrays2[key])
+                ):
+                    state_mismatches += 1
+        grouped_dispatches = service.batcher.grouped_dispatches
+        grouped_requests = service.batcher.grouped_requests
     finally:
-        batched_svc.shutdown()
-        serial_svc.shutdown()
+        service.shutdown()
     return {
         "sessions": sessions,
         "steps": steps,

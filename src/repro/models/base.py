@@ -53,22 +53,6 @@ class Forecaster(abc.ABC):
     def predict_next(self, history: np.ndarray) -> float:
         """One-step-ahead point forecast given the observed ``history``."""
 
-    def predict_next_batch(self, histories) -> np.ndarray:
-        """One-step forecasts for N independent histories at once.
-
-        ``histories`` is a sequence of 1-D arrays (possibly of different
-        lengths — multi-tenant serving hands in one history per tenant).
-        Entry ``i`` of the result is bit-identical to
-        ``predict_next(histories[i])``; the default simply loops, and
-        subclasses with a vectorised path override it under the same
-        bit-identity contract (``tests/serving/test_batched_inference.py``
-        pins this for every pool member the serving bench uses).
-        """
-        return np.array(
-            [self.predict_next(history) for history in histories],
-            dtype=np.float64,
-        )
-
     # ------------------------------------------------------------------
     def _check_fitted(self) -> None:
         if not self._fitted:
@@ -173,28 +157,6 @@ class WindowRegressor(Forecaster):
         window = history[-self.embedding_dimension :][None, :]
         return float(self._predict_matrix(window)[0])
 
-    def predict_next_batch(self, histories) -> np.ndarray:
-        self._check_fitted()
-        k = self.embedding_dimension
-        windows = np.stack(
-            [self._check_history(history)[-k:] for history in histories]
-        )
-        return self._predict_window_rows(windows)
-
-    def _predict_window_rows(self, windows: np.ndarray) -> np.ndarray:
-        """Predict one step per stacked window row, bit-identically.
-
-        ``_predict_matrix`` on an ``(N, k)`` block is NOT guaranteed to
-        match the per-row ``(1, k)`` calls to the ulp (BLAS kernels
-        differ by operand shape), so the default loops the single-row
-        path; linear subclasses override with a per-slice batched
-        matmul that does carry the guarantee.
-        """
-        return np.array(
-            [float(self._predict_matrix(row[None, :])[0]) for row in windows],
-            dtype=np.float64,
-        )
-
     def rolling_predictions(self, series: np.ndarray, start: int) -> np.ndarray:
         self._check_fitted()
         array = validate_series(series, min_length=start + 1)
@@ -225,10 +187,6 @@ class MeanForecaster(Forecaster):
         self._check_fitted()
         return float(self._mean)
 
-    def predict_next_batch(self, histories) -> np.ndarray:
-        self._check_fitted()
-        return np.full(len(histories), float(self._mean))
-
     def rolling_predictions(self, series: np.ndarray, start: int) -> np.ndarray:
         self._check_fitted()
         array = validate_series(series, min_length=start + 1)
@@ -248,13 +206,6 @@ class NaiveForecaster(Forecaster):
     def predict_next(self, history: np.ndarray) -> float:
         self._check_fitted()
         return float(self._check_history(history)[-1])
-
-    def predict_next_batch(self, histories) -> np.ndarray:
-        self._check_fitted()
-        return np.array(
-            [float(self._check_history(history)[-1]) for history in histories],
-            dtype=np.float64,
-        )
 
     def rolling_predictions(self, series: np.ndarray, start: int) -> np.ndarray:
         self._check_fitted()
@@ -283,15 +234,6 @@ class SeasonalNaiveForecaster(Forecaster):
         if array.size >= self.period:
             return float(array[-self.period])
         return float(array[-1])
-
-    def predict_next_batch(self, histories) -> np.ndarray:
-        self._check_fitted()
-        out = np.empty(len(histories))
-        for i, history in enumerate(histories):
-            array = self._check_history(history)
-            source = -self.period if array.size >= self.period else -1
-            out[i] = array[source]
-        return out
 
     def rolling_predictions(self, series: np.ndarray, start: int) -> np.ndarray:
         self._check_fitted()

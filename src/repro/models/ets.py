@@ -63,28 +63,6 @@ class SimpleExpSmoothing(Forecaster):
             level += self.alpha_ * (value - level)
         return float(level)
 
-    def predict_next_batch(self, histories) -> np.ndarray:
-        """Run the level filter across tenants of equal history length.
-
-        The recursion is elementwise per time step, so stacking all
-        equal-length histories and updating one level *vector* per step
-        reproduces each scalar recursion bitwise while collapsing N
-        Python loops into one. Ragged lengths are grouped first.
-        """
-        self._check_fitted()
-        arrays = [self._check_history(history) for history in histories]
-        by_length: dict = {}
-        for index, array in enumerate(arrays):
-            by_length.setdefault(array.size, []).append(index)
-        out = np.empty(len(arrays))
-        for size, indices in by_length.items():
-            block = np.stack([arrays[i] for i in indices])
-            level = block[:, 0].copy()
-            for t in range(1, size):
-                level += self.alpha_ * (block[:, t] - level)
-            out[indices] = level
-        return out
-
     def rolling_predictions(self, series: np.ndarray, start: int) -> np.ndarray:
         self._check_fitted()
         array = validate_series(series, min_length=start + 1)

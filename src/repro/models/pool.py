@@ -596,28 +596,18 @@ class ForecasterPool:
     def predict_next_batch_with_mask(
         self, histories
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One-step forecasts for N tenant histories in one sweep.
+        """One-step forecasts plus health masks for N tenant histories.
 
         Returns ``(matrix, mask)`` of shape ``(len(histories), m)``;
-        row ``i`` is bit-identical to ``predict_next_with_mask(
-        histories[i])``. Unguarded serial pools take the vectorised
-        per-member path (each member sees all histories at once);
-        guarded or parallel pools fall back to looping the single-step
-        path so guard bookkeeping and executor semantics stay exactly
-        as they were.
+        row ``i`` is ``predict_next_with_mask(histories[i])``, which this
+        method calls in a loop, so guards, executors and bit-identity
+        are exactly those of the single-history step.
         """
-        if not self._fitted:
-            raise DataValidationError("pool must be fitted before predicting")
-        if self._guard_config is not None or self._use_parallel():
-            values = np.empty((len(histories), len(self._models)))
-            mask = np.empty((len(histories), len(self._models)), dtype=bool)
-            for i, history in enumerate(histories):
-                values[i], mask[i] = self.predict_next_with_mask(history)
-            return values, mask
-        matrix = np.column_stack(
-            [member.predict_next_batch(histories) for member in self._models]
-        )
-        return matrix, np.ones(matrix.shape, dtype=bool)
+        values = np.empty((len(histories), len(self._models)))
+        mask = np.empty((len(histories), len(self._models)), dtype=bool)
+        for i, history in enumerate(histories):
+            values[i], mask[i] = self.predict_next_with_mask(history)
+        return values, mask
 
     def _parallel_predict_next(
         self, history: np.ndarray

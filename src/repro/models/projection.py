@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.models.base import WindowRegressor
-from repro.nn.batched import batched_matvec
 from repro.preprocessing.scaling import StandardScaler
 
 
@@ -52,13 +51,6 @@ class PrincipalComponentForecaster(WindowRegressor):
     def _predict_matrix(self, X: np.ndarray) -> np.ndarray:
         scores = self._x_scaler.transform(X) @ self._components
         return scores @ self._coef + self._intercept
-
-    def _predict_window_rows(self, windows: np.ndarray) -> np.ndarray:
-        # Per-slice matmuls keep each row bit-identical to the (1, k)
-        # serial call; a plain 2-D gemm would not.
-        Xs = self._x_scaler.transform(windows)
-        scores = np.matmul(Xs[:, None, :], self._components)[:, 0, :]
-        return batched_matvec(scores, self._coef) + self._intercept
 
     @property
     def explained_variance_ratio_(self) -> np.ndarray:
@@ -130,13 +122,6 @@ class PLSForecaster(WindowRegressor):
     def _predict_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._x_scaler.transform(X) @ self._coef + self._y_mean
 
-    def _predict_window_rows(self, windows: np.ndarray) -> np.ndarray:
-        return (
-            batched_matvec(self._x_scaler.transform(windows), self._coef)
-            + self._y_mean
-        )
-
-
 class RidgeForecaster(WindowRegressor):
     """L2-regularised linear autoregression on the embedding."""
 
@@ -158,9 +143,3 @@ class RidgeForecaster(WindowRegressor):
 
     def _predict_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._x_scaler.transform(X) @ self._coef + self._intercept
-
-    def _predict_window_rows(self, windows: np.ndarray) -> np.ndarray:
-        return (
-            batched_matvec(self._x_scaler.transform(windows), self._coef)
-            + self._intercept
-        )

@@ -7,12 +7,7 @@ losses, and first-order optimisers. It is intentionally small but complete
 enough to train the actor-critic networks and the neural base forecasters.
 """
 
-from repro.nn.batched import (
-    StackedLinears,
-    batched_dot,
-    batched_matvec,
-    rowwise_softmax,
-)
+from repro.nn.batched import StackedLinears, rowwise_softmax
 from repro.nn.conv import Conv1d, GlobalAveragePool1d, MaxPool1d
 from repro.nn.layers import (
     Dropout,
@@ -57,8 +52,6 @@ __all__ = [
     "StackedLinears",
     "Tanh",
     "Tensor",
-    "batched_dot",
-    "batched_matvec",
     "clip_grad_norm",
     "rowwise_softmax",
     "concatenate",

@@ -26,8 +26,6 @@ import numpy as np
 
 __all__ = [
     "StackedLinears",
-    "batched_dot",
-    "batched_matvec",
     "relu",
     "rowwise_softmax",
 ]
@@ -48,26 +46,6 @@ def rowwise_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def batched_matvec(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``x[i] @ coef`` for each row, bit-identical to the per-row loop.
-
-    A 2-D gemv ``(N, k) @ (k,)`` does not match per-row dots to the ulp;
-    the 3-D matmul form does, because it runs the same ``(1, k) @ (k,)``
-    kernel per slice.
-    """
-    return np.matmul(x[:, None, :], coef)[:, 0]
-
-
-def batched_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-row dot product ``rows[i] @ weights[i]`` as one batched matmul.
-
-    ``np.einsum`` and ``(rows * weights).sum(axis=1)`` change the
-    summation order; the matmul-per-slice form reproduces ``float(r @ w)``
-    bitwise.
-    """
-    return np.matmul(rows[:, None, :], weights[:, :, None])[:, 0, 0]
 
 
 class StackedLinears:

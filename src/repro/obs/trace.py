@@ -441,7 +441,6 @@ SPAN_CATEGORIES = {
     "store.restore": "restore",
     "store.spill": "spill",
     "store.checkpoint": "checkpoint",
-    "session.step": "session_step",
     "pool.eval": "pool_eval",
     "actor.forward": "actor_forward",
 }

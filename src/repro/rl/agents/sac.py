@@ -26,8 +26,8 @@ maximum-entropy structure intact (``docs/paper_mapping.md``).
 
 The policy is stochastic, so the agent advertises
 ``batchable = False``: the serving layer's stacked deterministic-actor
-kernel does not apply, and coalesced observes fall back to the
-per-session path (telemetry reason ``agent_unbatched``).
+kernel does not apply, and its group pass calls ``policy_weights`` once
+per session instead (telemetry reason ``agent_unbatched``).
 """
 
 from __future__ import annotations

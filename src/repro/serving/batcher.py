@@ -2,10 +2,10 @@
 
 Concurrent one-step requests land in a bounded queue; a single collector
 thread coalesces whatever arrives within a small time/size budget
-(``max_wait`` / ``max_batch``) into one batch and fans the work through
-:func:`repro.runtime.run_ordered`. Per-series sessions are independent,
-so a batch of requests for *different* sessions parallelises across the
-executor's workers; requests for the same session serialise on its lock.
+(``max_wait`` / ``max_batch``) into one batch. Requests carrying a
+``payload`` (the service's ``observe``) go to the ``group_handler`` as
+one list per dispatch; the rest run their ``fn`` through
+:func:`repro.runtime.run_ordered` across the executor's workers.
 
 Backpressure is explicit and immediate:
 
@@ -119,8 +119,8 @@ class MicroBatcher:
         self.max_wait = float(max_wait)
         self.queue_limit = int(queue_limit)
         #: When set, requests submitted with a ``payload`` are handed to
-        #: this callable as one list per dispatch (the vectorised
-        #: serving path) instead of being fanned out one-by-one. The
+        #: this callable as one list per dispatch (lone payloads
+        #: included) instead of being fanned out one-by-one. The
         #: handler returns one outcome per payload, aligned by index;
         #: an exception outcome fails just that request's future.
         self.group_handler = group_handler
@@ -164,11 +164,10 @@ class MicroBatcher:
         already past its deadline is shed at submit time, before it ever
         occupies a queue slot.
 
-        ``payload`` opts the request into the batcher's
-        :attr:`group_handler` (when one is configured): all payloads of
-        a dispatch are handed over together so the handler can run them
-        as one vectorised pass. ``fn`` remains the single-request
-        fallback used when no handler is configured.
+        ``payload`` routes the request to the batcher's
+        :attr:`group_handler` instead of ``fn``: all payloads of a
+        dispatch are handed over together so the handler can run them
+        as one pass. Requests without a payload run ``fn``.
         """
         if self._closing.is_set():
             raise ServiceUnavailableError(
@@ -277,16 +276,8 @@ class MicroBatcher:
                         batch_span=batch_span.ctx.span_id,
                         batch_trace=batch_span.ctx.trace_id,
                     )
-        if self.group_handler is not None:
-            grouped = [r for r in live if r.payload is not None]
-            singles = [r for r in live if r.payload is None]
-            if len(grouped) == 1:
-                # A lone payload gains nothing from the stacked path;
-                # its per-session fallback fn is strictly cheaper.
-                singles = live
-                grouped = []
-        else:
-            grouped, singles = [], live
+        grouped = [r for r in live if r.payload is not None]
+        singles = [r for r in live if r.payload is None]
 
         def execute() -> None:
             if grouped:

@@ -85,16 +85,10 @@ class ServiceConfig:
         :class:`DeadlineExceededError`.
     batch_wait / batch_size:
         Micro-batch coalescing budget: how long the collector waits for
-        company and the largest batch it forms.
-    batched_inference:
-        Coalesce the ``observe`` requests of one micro-batch into a
-        single stacked actor forward plus vectorised pool evaluation
-        (bit-identical to the per-session path by construction).
-        Requests the stacked pass cannot take — duplicate session ids
-        within one batch, acquire failures, heterogeneous agents, or an
-        agent class without a native batched policy (``batchable``
-        False, e.g. SAC) — fall back to the unchanged per-session path
-        automatically.
+        company and the largest batch it forms. Every ``observe`` of a
+        dispatch, a lone one included, runs through one group pass:
+        one pool sweep plus one stacked actor forward per shape group,
+        bit-identical to :meth:`SeriesSession.observe`.
     agent:
         When set, the registry name the served bundle's policy agent
         must carry (e.g. ``"td3"``); a mismatch fails service
@@ -142,7 +136,6 @@ class ServiceConfig:
     deadline: float = 2.0
     batch_wait: float = 0.002
     batch_size: int = 16
-    batched_inference: bool = True
     agent: Optional[str] = None
     executor: str = "thread"
     n_jobs: Optional[int] = None
@@ -241,10 +234,7 @@ class ForecastService:
             max_wait=self.config.batch_wait,
             queue_limit=self.config.queue_limit,
             executor=ExecutorConfig(self.config.executor, self.config.n_jobs),
-            group_handler=(
-                self._observe_batch
-                if self.config.batched_inference else None
-            ),
+            group_handler=self._observe_batch,
         )
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
@@ -398,14 +388,7 @@ class ForecastService:
 
         def run():
             self._admit()
-            return self._submit(
-                lambda: self._observe_inner(session_id, value, seq),
-                dl,
-                payload=(
-                    (session_id, value, seq)
-                    if self.config.batched_inference else None
-                ),
-            )
+            return self._submit(None, dl, payload=(session_id, value, seq))
 
         return self._timed("observe", run, tenant=session_id)
 
@@ -432,43 +415,8 @@ class ForecastService:
             )
         return None
 
-    def _observe_inner(
-        self, session_id: str, value: float, seq: Optional[int] = None
-    ) -> Dict[str, Any]:
-        try:
-            with self.store.acquire(session_id) as session:
-                with session.lock:
-                    cached = self._check_seq(session, seq, session_id)
-                    if cached is not None:
-                        return cached
-                    with TRACER.child_span(
-                        "session.step", session=session_id
-                    ):
-                        forecast = session.observe(float(value))
-                    response = {
-                        "session": session_id,
-                        "forecast": float(forecast),
-                        "step": session.step,
-                        "drift": session.last_drifted,
-                        "policy_update": session.last_update_trigger,
-                        "degraded": False,
-                    }
-                    if seq is not None:
-                        session.ack_seq = seq
-                        session.ack_response = response
-                    if self.config.durable:
-                        # Commit point: the acknowledgement below is only
-                        # sent once the observation (ledger included) has
-                        # hit the spill tier.
-                        self.store.sync(session_id)
-                    return response
-        except SessionCorruptError:
-            if not self.config.degraded_mode:
-                raise
-            return self._observe_degraded(session_id, value, seq)
-
     # ------------------------------------------------------------------
-    # Batched observe: one stacked forward per coalesced micro-batch
+    # Observe: one group pass per coalesced micro-batch
     # ------------------------------------------------------------------
     def _count_observe_path(
         self, path: str, reason: Optional[str] = None, n: int = 1
@@ -482,51 +430,66 @@ class ForecastService:
     def _observe_batch(self, payloads: List[Tuple]) -> list:
         """Group handler for the micro-batcher's coalesced observes.
 
-        Acquires (pins) and locks every batchable session up front, runs
-        one vectorised pool + stacked-actor pass per shape group, and
-        scatters the per-session results. Lock-ordering safety: every
-        thread that locks a session pins it first, and the store's
-        eviction only ever touches *unpinned* sessions, so holding many
-        pinned sessions' locks here cannot deadlock against the store
-        (and ``_admit_locked`` soft-overshoots capacity rather than
-        failing when a whole batch is pinned).
-
-        Requests the stacked pass cannot take run the unchanged serial
-        path *after* the batch locks drop, in arrival order: duplicate
-        session ids within the batch (lock is not reentrant across
-        requests' semantics), acquire failures (missing / corrupt /
-        degraded sessions — the serial path owns that failure taxonomy).
+        The only serving implementation of an Alg. 1 step, for a batch
+        of one as well as many. The batch runs in *waves*: each wave
+        holds at most one request per session id, so repeated ids keep
+        their arrival order (``[A, B, A]`` runs A₁ and B, then A₂).
         Outcomes are index-aligned; exceptions travel as values.
         """
         outcomes: list = [None] * len(payloads)
-        counts: Dict[str, int] = {}
-        for sid, _, _ in payloads:
-            counts[sid] = counts.get(sid, 0) + 1
-        serial: List[Tuple[int, str]] = []
+        pending = list(range(len(payloads)))
+        while pending:
+            wave, later, seen = [], [], set()
+            for index in pending:
+                sid = payloads[index][0]
+                (later if sid in seen else wave).append(index)
+                seen.add(sid)
+            self._observe_wave(payloads, outcomes, wave)
+            pending = later
+        return outcomes
+
+    def _observe_wave(
+        self, payloads: List[Tuple], outcomes: list, wave: List[int]
+    ) -> None:
+        """Acquire (pin) and lock every session of one wave, then run one
+        pool + stacked-actor pass per shape group.
+
+        Lock-ordering safety: every thread that locks a session pins it
+        first, and the store's eviction only ever touches *unpinned*
+        sessions, so holding many pinned sessions' locks here cannot
+        deadlock against the store (and ``_admit_locked`` soft-overshoots
+        capacity rather than failing when a whole wave is pinned).
+
+        An acquire failure is that slot's outcome. A corrupt session
+        gets its degraded-mode answer once the wave's locks drop (when
+        ``degraded_mode`` is on); any other error fails its slot only.
+        """
+        corrupt: List[int] = []
         with contextlib.ExitStack() as stack:
             groups: Dict[tuple, list] = {}
-            for index, (sid, value, seq) in enumerate(payloads):
-                if counts[sid] > 1:
-                    serial.append((index, "same_session"))
-                    continue
+            for index in wave:
+                sid = payloads[index][0]
                 try:
                     session = stack.enter_context(self.store.acquire(sid))
                     stack.enter_context(session.lock)
-                except BaseException:  # noqa: BLE001 - retried serially
-                    serial.append((index, "acquire"))
+                except SessionCorruptError as err:
+                    if self.config.degraded_mode:
+                        corrupt.append(index)
+                    else:
+                        outcomes[index] = err
+                    continue
+                except BaseException as err:  # noqa: BLE001 - to the future
+                    outcomes[index] = err
                     continue
                 key = (id(session.pool), session.window, session.n_members)
                 groups.setdefault(key, []).append((index, session))
             for members in groups.values():
                 self._observe_group(payloads, outcomes, members)
-        for index, reason in sorted(serial):
-            sid, value, seq = payloads[index]
-            self._count_observe_path("fallback", reason)
+        for index in corrupt:
             try:
-                outcomes[index] = self._observe_inner(sid, value, seq)
+                outcomes[index] = self._observe_degraded(*payloads[index])
             except BaseException as err:  # noqa: BLE001 - to the future
                 outcomes[index] = err
-        return outcomes
 
     def _observe_group(
         self, payloads: List[Tuple], outcomes: list, members: list
@@ -534,9 +497,12 @@ class ForecastService:
         """One shape group of locked sessions → one stacked forward.
 
         Bit-identity contract: every numerical step either *is* the
-        serial code (``prepare_forecast``/``apply_forecast``) or is a
-        batched kernel proven bitwise-equal to its serial counterpart
-        (``predict_next_batch_with_mask``, ``policy_weights_batch``).
+        serial code (``prepare_forecast``/``apply_forecast``, and the
+        pool's ``predict_next_batch_with_mask``, which loops the serial
+        step) or is the stacked actor forward ``policy_weights_batch``,
+        pinned bitwise-equal to ``policy_weights``. An agent class
+        without a stacked forward (``batchable`` False, e.g. SAC) or a
+        failed stack takes ``policy_weights`` per slot instead.
         """
         ready = []
         for index, session in members:
@@ -590,7 +556,7 @@ class ForecastService:
         agent_cls = type(prepared[0][1].agent)
         if not getattr(agent_cls, "batchable", False):
             # Stochastic policies (SAC) have no stacked deterministic
-            # forward; their sessions take the serial policy call below.
+            # forward; their sessions call policy_weights per slot below.
             self._count_observe_path(
                 "fallback", "agent_unbatched", n=len(prepared)
             )
@@ -643,10 +609,12 @@ class ForecastService:
                         session.ack_seq = seq
                         session.ack_response = response
                     if self.config.durable:
+                        # Commit point: acknowledge only once the
+                        # observation (ledger included) hit the spill tier.
                         self.store.sync(sid)
                     outcomes[index] = response
                 except SessionCorruptError:
-                    # Same conversion the serial path applies.
+                    # Same conversion a corrupt acquire gets.
                     if not self.config.degraded_mode:
                         raise
                     outcomes[index] = self._observe_degraded(

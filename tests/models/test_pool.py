@@ -230,3 +230,47 @@ class TestGuardedPool:
         pruned = pool.subset([0, 1])
         assert pruned.guarded
         assert pruned.health() is pool.health()
+
+
+class TestPredictNextBatch:
+    """``predict_next_batch_with_mask`` row ``i`` is bitwise the
+    single-history step on ``histories[i]``, values and mask."""
+
+    LENGTHS = (150, 163, 171, 200)
+
+    def _guarded_pool(self, short_series):
+        from repro.runtime import RuntimeGuardConfig
+        from repro.testing import FailureSchedule, FlakyForecaster
+
+        members = build_pool("small") + [
+            FlakyForecaster(MeanForecaster(), FailureSchedule.at(163)),
+        ]
+        return ForecasterPool(
+            members, guard_config=RuntimeGuardConfig(max_retries=0)
+        ).fit(short_series[:150])
+
+    def _assert_rows_match(self, batch_pool, serial_pool, short_series):
+        histories = [short_series[:n] for n in self.LENGTHS]
+        values, mask = batch_pool.predict_next_batch_with_mask(histories)
+        assert values.shape == mask.shape == (len(histories), len(batch_pool))
+        for i, history in enumerate(histories):
+            want_values, want_mask = serial_pool.predict_next_with_mask(
+                history
+            )
+            assert np.array_equal(values[i], want_values)
+            assert np.array_equal(mask[i], want_mask)
+        return mask
+
+    def test_guarded_rows_match_single_step(self, short_series):
+        # Guards keep per-member state, so the reference runs on a twin.
+        mask = self._assert_rows_match(
+            self._guarded_pool(short_series),
+            self._guarded_pool(short_series),
+            short_series,
+        )
+        assert mask[0].all() and not mask[1, -1]
+
+    def test_unguarded_rows_match_single_step(self, short_series):
+        pool = ForecasterPool(build_pool("small")).fit(short_series[:150])
+        mask = self._assert_rows_match(pool, pool, short_series)
+        assert mask.all()

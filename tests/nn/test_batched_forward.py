@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataValidationError
-from repro.nn.batched import (
-    StackedLinears,
-    batched_dot,
-    batched_matvec,
-    relu,
-    rowwise_softmax,
-)
+from repro.nn.batched import StackedLinears, relu, rowwise_softmax
 from repro.nn.layers import Linear
 from repro.rl.ddpg import Actor, DDPGAgent, DDPGConfig, StackedActorParams
 from repro.rl.replay import Transition
@@ -35,22 +29,6 @@ def make_layers(n, n_in, n_out, seed=0, distinct=True):
 
 
 class TestKernels:
-    def test_batched_matvec_matches_per_row(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(9, 7))
-        coef = rng.normal(size=7)
-        batched = batched_matvec(x, coef)
-        for i in range(x.shape[0]):
-            assert batched[i] == x[i] @ coef
-
-    def test_batched_dot_matches_per_row(self):
-        rng = np.random.default_rng(2)
-        rows = rng.normal(size=(11, 5))
-        weights = rng.normal(size=(11, 5))
-        batched = batched_dot(rows, weights)
-        for i in range(rows.shape[0]):
-            assert batched[i] == float(rows[i] @ weights[i])
-
     def test_rowwise_softmax_matches_single_row(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(scale=3.0, size=(8, 4))

@@ -67,3 +67,21 @@ def fitted(series) -> EADRL:
 @pytest.fixture(scope="session")
 def bundle(fitted) -> ModelBundle:
     return ModelBundle.from_estimator(fitted, mode="drift")
+
+
+def batch_subtree_names(assembler, trace) -> set:
+    """Span names under the ``batcher.batch`` span a request rode in.
+
+    The request's ``batcher.queue`` span links to the dispatch's shared
+    batch span (its own trace); the group pass runs beneath that span.
+    """
+    queue = [s for s in trace.spans if s.name == "batcher.queue"]
+    assert len(queue) == 1
+    batch = assembler.span(queue[0].attrs["batch_span"])
+    assert batch is not None and batch.name == "batcher.batch"
+    batch_trace = assembler.trace(batch.trace_id)
+    names, frontier = set(), [batch]
+    while frontier:
+        frontier = [c for s in frontier for c in batch_trace.children(s)]
+        names.update(c.name for c in frontier)
+    return names

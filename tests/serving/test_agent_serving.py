@@ -1,10 +1,10 @@
 """Serving registry agents: TD3 batching, SAC fallback, spill, startup.
 
 The serving layer must treat any registered agent like DDPG: clone it
-per tenant, spill/restore it bit-identically, batch it when its class
-offers a stacked deterministic forward (`batchable`), and fall back to
-the per-session path — not fail — when it does not (SAC's policy is a
-sampled Gaussian; there is nothing deterministic to stack).
+per tenant, spill/restore it bit-identically, stack its actor forward
+when its class offers one (`batchable`), and call `policy_weights` per
+session — not fail — when it does not (SAC's policy is a sampled
+Gaussian; there is nothing deterministic to stack).
 """
 
 from __future__ import annotations
@@ -87,28 +87,25 @@ class TestBatchedObserveAcrossAgents:
     @pytest.mark.parametrize("name", ["td3", "sac"])
     def test_batched_observe_matches_serial(self, agent_bundles, series,
                                             tmp_path, name):
-        """Batch path (stacked for TD3, fallback for SAC) ≡ serial."""
+        """Group pass (stacked for TD3, per-slot policy for SAC) ≡ the
+        serial step of twin sessions."""
         bundle = agent_bundles[name]
         batched = _service(bundle, tmp_path, f"{name}-batched")
-        serial = _service(bundle, tmp_path, f"{name}-serial",
-                          batched_inference=False)
         try:
             ids = [f"s-{i}" for i in range(4)]
+            twins = {}
             for sid in ids:
                 batched.create_session(sid, series[:200])
-                serial.create_session(sid, series[:200])
+                twins[sid] = bundle.create_session(sid, series[:200])
             for value in series[200:210]:
                 outcomes = batched._observe_batch(
                     [(sid, float(value), None) for sid in ids]
                 )
                 for got, sid in zip(outcomes, ids):
-                    want = serial.observe(sid, float(value))
-                    assert np.float64(got["forecast"]) == np.float64(
-                        want["forecast"]
-                    )
+                    want = twins[sid].observe(float(value))
+                    assert np.float64(got["forecast"]) == np.float64(want)
         finally:
             batched.shutdown()
-            serial.shutdown()
 
     def test_sac_fallback_reason_is_agent_unbatched(self, agent_bundles,
                                                     series, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.obs import OBS, MemorySink, TelemetryConfig
 from repro.serving import ForecastHTTPServer, ForecastService, ServiceConfig
+from tests.serving.conftest import batch_subtree_names
 
 
 @pytest.fixture()
@@ -320,10 +321,14 @@ class TestTracing:
         assembler = assemble_trace_dir(trace_dir)
         pinned_trace = assembler.trace(pinned)
         assert pinned_trace is not None
-        assert pinned_trace.root.name == "http.request"
-        names = {s.name for s in pinned_trace.spans}
-        assert "service.observe" in names
-        assert pinned_trace.coverage() > 0.9
+        root = pinned_trace.root
+        assert root.name == "http.request"
+        assert "service.observe" in {
+            s.name for s in pinned_trace.children(root)
+        }
+        assert {"pool.eval", "actor.forward"} <= batch_subtree_names(
+            assembler, pinned_trace
+        )
 
     def test_untraced_service_sends_no_trace_header(self, server, series):
         status, _, headers = _request(server, "POST", "/v1/sessions", {

@@ -14,7 +14,7 @@ from repro.exceptions import (
     SessionExistsError,
     SessionNotFoundError,
 )
-from repro.serving import ForecastService, ServiceConfig
+from repro.serving import ForecastService, ServiceConfig, SeriesSession
 
 
 @pytest.fixture()
@@ -183,10 +183,10 @@ class TestBreaker:
     def test_internal_errors_trip_breaker(self, service, series, monkeypatch):
         service.create_session("victim", series[:180])
 
-        def corrupted(session_id, value, seq=None):
+        def corrupted(self, y):
             raise RuntimeError("simulated internal fault")
 
-        monkeypatch.setattr(service, "_observe_inner", corrupted)
+        monkeypatch.setattr(SeriesSession, "begin_observe", corrupted)
         for _ in range(service.config.breaker_threshold):
             with pytest.raises(RuntimeError):
                 service.observe("victim", 1.0)

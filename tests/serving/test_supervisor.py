@@ -25,6 +25,7 @@ from repro.serving import (
     make_service,
 )
 from repro.serving.shard import decode_error, encode_error
+from tests.serving.conftest import batch_subtree_names
 
 
 class TestHashRing:
@@ -331,8 +332,9 @@ class TestDistributedTracing:
                 sup.observe("traced", float(series[180]), seq=1)
         finally:
             sup.shutdown()
+        assembler = assemble_trace_dir(trace_dir)
         traces = [
-            t for t in assemble_trace_dir(trace_dir).traces()
+            t for t in assembler.traces()
             if t.root is not None and t.root.name == "http.request"
         ]
         assert len(traces) == 1
@@ -340,7 +342,12 @@ class TestDistributedTracing:
         names = {s.name for s in trace.spans}
         assert {"http.request", "service.observe", "rpc.shard",
                 "worker.handle"} <= names
+        assert "service.observe" in {
+            s.name for s in trace.children(trace.root)
+        }
         assert any(p.startswith("shard-") for p in trace.processes)
         assert "frontend" in trace.processes
-        assert trace.coverage() > 0.9
         assert trace.orphans == 0
+        assert {"pool.eval", "actor.forward"} <= batch_subtree_names(
+            assembler, trace
+        )
