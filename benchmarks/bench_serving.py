@@ -171,7 +171,6 @@ def profile_gil_ceiling(
     runs = []
     for shards in (0,) + tuple(shard_counts):
         service = make_service(bundle, ServiceConfig(
-            executor="process" if shards else "thread",
             shards=shards,
             max_sessions=max_resident,
             spill_dir=tempfile.mkdtemp(prefix="bench-serving-gil-"),
@@ -357,7 +356,6 @@ def check_trace_coverage(
 
     trace_dir = tempfile.mkdtemp(prefix="bench-serving-traces-")
     service = make_service(bundle, ServiceConfig(
-        executor="process",
         shards=shards,
         max_sessions=max(16, sessions),
         spill_dir=tempfile.mkdtemp(prefix="bench-serving-shards-"),

@@ -101,7 +101,6 @@ def make_supervisor(bundle, spill_root: str, shards: int) -> ShardSupervisor:
     return ShardSupervisor(
         bundle,
         ServiceConfig(
-            executor="process",
             shards=shards,
             spill_dir=spill_root,
             deadline=30.0,

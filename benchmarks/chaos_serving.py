@@ -105,7 +105,6 @@ def make_supervisor(bundle, spill_root: str) -> ShardSupervisor:
     return ShardSupervisor(
         bundle,
         ServiceConfig(
-            executor="process",
             shards=N_SHARDS,
             spill_dir=spill_root,
             deadline=30.0,

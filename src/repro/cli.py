@@ -39,13 +39,13 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                              "ddpg (paper default), td3, sac, or any name "
                              "registered via repro.rl.agents (validated "
                              "against the registry, exit 2 on unknown)")
-    parser.add_argument("--executor", choices=("serial", "thread", "process"),
+    parser.add_argument("--executor", choices=("serial", "thread"),
                         default="serial",
                         help="pool execution backend (default serial; "
-                             "thread/process fan the members out over "
-                             "--jobs workers with bit-identical output)")
+                             "thread fans the members out over --jobs "
+                             "workers with bit-identical output)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count for --executor thread/process "
+                        help="worker count for --executor thread "
                              "(default: all available cores)")
 
 
@@ -263,16 +263,6 @@ def cmd_serve(args) -> int:
         mode=args.session_mode,
         interval=args.session_interval,
     )
-    autoscale = str(args.shards).strip().lower() == "auto"
-    if autoscale:
-        shards = 0  # supervisor picks a start size inside the bounds
-    else:
-        try:
-            shards = int(args.shards)
-        except ValueError:
-            raise SystemExit(
-                f"--shards must be an integer or 'auto', got {args.shards!r}"
-            ) from None
     service = make_service(bundle, ServiceConfig(
         agent=args.agent,
         max_sessions=args.max_sessions,
@@ -282,11 +272,7 @@ def cmd_serve(args) -> int:
         batch_wait=args.batch_wait,
         batch_size=args.batch_size,
         n_jobs=args.jobs,
-        executor="process" if (shards or autoscale) else "thread",
-        shards=shards,
-        autoscale=autoscale,
-        min_shards=args.min_shards,
-        max_shards=args.max_shards,
+        shards=args.shards,
         durable=args.durable,
         trace_dir=args.trace_dir,
     ))
@@ -294,13 +280,8 @@ def cmd_serve(args) -> int:
         service, host=args.host, port=args.port
     ).start()
     host, port = server.address
-    if autoscale:
-        runtime = (
-            f"auto-scaling shard workers "
-            f"({args.min_shards}..{args.max_shards})"
-        )
-    elif shards:
-        runtime = f"{shards} shard worker(s)"
+    if args.shards:
+        runtime = f"{args.shards} shard worker(s)"
     else:
         runtime = "in-process service"
     print(f"forecast service on http://{host}:{port} [{runtime}] "
@@ -453,20 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default drift)")
     p_serve.add_argument("--session-interval", type=int, default=25,
                          help="steps between periodic updates (default 25)")
-    p_serve.add_argument("--shards", default="0", metavar="N|auto",
+    p_serve.add_argument("--shards", type=int, default=0, metavar="N",
                          help="supervised shard worker processes; 0 runs "
                               "the in-process service (default 0). "
                               "Workers are crash-supervised: a killed "
                               "shard restarts and recovers its sessions "
-                              "from the spill tier. 'auto' enables "
-                              "load-adaptive scaling between --min-shards "
-                              "and --max-shards")
-    p_serve.add_argument("--min-shards", type=int, default=1,
-                         help="smallest fleet size with --shards auto "
-                              "(default 1)")
-    p_serve.add_argument("--max-shards", type=int, default=8,
-                         help="largest fleet size with --shards auto "
-                              "(default 8)")
+                              "from the spill tier")
     p_serve.add_argument("--durable", action="store_true",
                          help="acknowledge observe only after the session "
                               "checkpoint hits disk (always on inside "

@@ -73,7 +73,7 @@ class EADRLConfig:
         fail-fast behaviour.
     executor:
         Backend for the pool's per-member fan-outs — ``"serial"``
-        (default), ``"thread"``, or ``"process"`` — realising the paper's
+        (default) or ``"thread"`` — realising the paper's
         "trained in parallel and separately" with bit-identical output
         under every backend (see :mod:`repro.runtime.executor` and
         ``docs/performance.md``).

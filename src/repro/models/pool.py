@@ -56,10 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only. The runtime import
 
 
 # ----------------------------------------------------------------------
-# Worker tasks for the parallel executor. Module-level (not closures) so
-# the process backend can pickle them; each returns its own wall-clock
+# Worker tasks for the parallel executor. Each returns its own wall-clock
 # compute time so the pool can populate PoolHealth.timings() without
-# counting scheduling/pickling overhead.
+# counting scheduling overhead.
 # ----------------------------------------------------------------------
 def _fit_member_task(member: Forecaster, array: np.ndarray):
     """Fit one member; returns ``(member, error_or_None, elapsed)``.
@@ -294,13 +293,13 @@ class ForecasterPool:
     executor:
         Backend for the pool's per-member fan-outs: ``"serial"``
         (default; bit-identical to the pre-executor behaviour),
-        ``"thread"``, ``"process"``, or a
+        ``"thread"``, or a
         :class:`~repro.runtime.executor.ExecutorConfig`. Worker results
         are merged deterministically in member order, so predictions,
         masks, and health events are identical under every backend and
         worker count. The online one-step path
-        (:meth:`predict_next_with_mask`) always uses threads — never
-        processes — to keep per-step latency free of pickling costs.
+        (:meth:`predict_next_with_mask`) reuses one cached thread pool
+        across steps.
     n_jobs:
         Worker count for the parallel backends (``None`` = all cores).
 
@@ -396,12 +395,10 @@ class ForecasterPool:
     def _gather_member(self, index: int, member: Forecaster) -> None:
         """Adopt one worker result (in member order).
 
-        Under the process backend ``member`` is a fitted/updated *copy*
-        (carrying its breaker state and scratch registry); under the
-        thread backend it is the original object. Either way the scratch
-        registry is replayed into the shared one and the member is
-        re-pointed at it. The identity check keeps a member that already
-        reports into the shared registry from being merged twice.
+        The member's scratch registry is replayed into the shared one
+        and the member is re-pointed at it. The identity check keeps a
+        member that already reports into the shared registry from being
+        merged twice.
         """
         if self._guard_config is not None and member.health is not self._health:
             self._health.merge_from(member.health)
@@ -614,10 +611,9 @@ class ForecasterPool:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Online fan-out over the cached *thread* pool.
 
-        Regardless of the configured backend, the one-step path never
-        crosses a process boundary: per-step pickling of models would
-        dominate the latency budget the online phase exists to protect.
-        Guarded members record into scratch registries that are merged in
+        The pool is created once and reused across steps, so the
+        per-step latency the online phase exists to protect carries no
+        executor start-up cost. Guarded members record into scratch registries that are merged in
         member order after every step, keeping the shared event log
         identical to a serial run.
         """

@@ -89,8 +89,8 @@ class _Activation(Module):
     """Stateless activation wrapper so activations compose in Sequential.
 
     ``fn`` must be a module-level callable (not a lambda/closure) so that
-    trained networks stay picklable and can cross process boundaries in
-    the parallel pool executor.
+    trained networks stay picklable: a shard worker started without fork
+    receives the served bundle, networks included, pickled.
     """
 
     def __init__(self, fn: Callable[..., Tensor], name: str):

@@ -14,7 +14,7 @@ degradation instead:
 - :func:`renormalise_healthy` — simplex renormalisation of a policy's
   weight vector over the currently healthy members;
 - :class:`ExecutorConfig` / :func:`run_ordered`
-  (:mod:`repro.runtime.executor`) — the pluggable serial/thread/process
+  (:mod:`repro.runtime.executor`) — the pluggable serial/thread
   execution engine behind the pool's per-member fan-outs;
 - :class:`CheckpointManager` / :class:`CheckpointConfig`
   (:mod:`repro.runtime.checkpoint`) — atomic, checksummed snapshots of

@@ -9,9 +9,7 @@ compute on an answer the client has given up on.
 
 ``time.monotonic`` is ``CLOCK_MONOTONIC`` on Linux and therefore
 comparable across processes on the same host — the shard supervisor
-ships ``expires_at`` to worker processes verbatim (the same property
-:func:`repro.runtime.executor.timed_call` already relies on across the
-fork boundary).
+ships ``expires_at`` to worker processes verbatim.
 """
 
 from __future__ import annotations

@@ -7,13 +7,9 @@ one-step queries) actually scale with cores:
 
 - ``"serial"`` — the default: a plain Python loop, bit-identical to the
   pre-executor behaviour with zero overhead;
-- ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor`; best
-  when members spend their time in numpy (which releases the GIL) or when
-  task payloads are expensive to pickle;
-- ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`; task
-  functions and their arguments must be picklable. Best for CPU-bound
-  pure-Python members, at the cost of pickling models across the
-  boundary.
+- ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor`; it
+  pays off when members spend their time in numpy (which releases the
+  GIL).
 
 Regardless of backend, :func:`run_ordered` returns results **in task
 order**, so callers can merge worker output deterministically (member
@@ -29,13 +25,13 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.obs import OBS
 
 #: Recognised backend names, in documentation order.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 def available_workers() -> int:
@@ -53,7 +49,7 @@ class ExecutorConfig:
     Attributes
     ----------
     backend:
-        ``"serial"`` (default), ``"thread"``, or ``"process"``.
+        ``"serial"`` (default) or ``"thread"``.
     n_jobs:
         Worker count for the parallel backends. ``None`` means "use every
         available core"; values are clamped to at least 1. Ignored by the
@@ -113,18 +109,11 @@ def coerce_executor(
     return config
 
 
-def _call(task: Tuple[Callable[..., Any], tuple]) -> Any:
-    fn, args = task
-    return fn(*args)
-
-
 def timed_call(fn: Callable[..., Any], args: tuple, submitted_at: float):
     """Run ``fn(*args)`` recording queue wait and work wall-clock.
 
-    Returns ``(result, wait_seconds, work_seconds)``. Module-level so
-    the process backend can pickle it; ``time.perf_counter`` is
-    CLOCK_MONOTONIC-based on Linux and therefore comparable across the
-    fork boundary (the wait is clamped at 0 as a portability guard).
+    Returns ``(result, wait_seconds, work_seconds)``; the wait is
+    clamped at 0 as a portability guard.
     """
     started = time.perf_counter()
     result = fn(*args)
@@ -159,8 +148,7 @@ def run_ordered(
     """Run ``fn(*args)`` for every tuple in ``argtuples``; results in order.
 
     The serial backend (or a single worker) degenerates to a plain loop.
-    For the process backend ``fn`` must be a module-level function and
-    every argument picklable. When telemetry is enabled
+    When telemetry is enabled
     (:mod:`repro.obs`) every parallel task's queue wait (submit → start)
     and work time are recorded, labelled per member when ``task_names``
     is given; the serial loop and the disabled path are untouched.
@@ -169,11 +157,7 @@ def run_ordered(
     if config.backend == "serial" or jobs == 1 or len(argtuples) <= 1:
         return [fn(*args) for args in argtuples]
     workers = min(jobs, len(argtuples))
-    if config.backend == "thread":
-        pool_cls = concurrent.futures.ThreadPoolExecutor
-    else:
-        pool_cls = concurrent.futures.ProcessPoolExecutor
-    with pool_cls(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         if not OBS.enabled:
             futures = [pool.submit(fn, *args) for args in argtuples]
             return [future.result() for future in futures]

@@ -132,12 +132,14 @@ class GuardedForecaster(Forecaster):
         self.health.record_transition(self.name, self._steps, old, new)
 
     def __getstate__(self) -> dict:
-        """Pickle support for the process executor backend.
+        """Pickle support for shard workers started without fork.
 
-        The per-call timeout thread pool is a live OS resource and is
-        dropped; the worker-side copy lazily recreates one on demand.
-        Everything else (inner model, breaker state, step counter, health
-        registry reference) crosses the boundary intact.
+        Such a worker receives the served
+        :class:`~repro.serving.ModelBundle` pickled, guarded pool members
+        included. The per-call timeout thread pool is a live OS resource
+        and is dropped; the worker-side copy lazily recreates one on
+        demand. Everything else (inner model, breaker state, step
+        counter, health registry reference) crosses the boundary intact.
         """
         state = self.__dict__.copy()
         state["_executor"] = None

@@ -78,7 +78,9 @@ class PoolHealth:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_lock"]  # locks cannot cross process boundaries
+        # Locks do not pickle; a shard worker started without fork
+        # receives the served bundle, this registry included, pickled.
+        del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -20,10 +20,10 @@ process, stdlib + numpy only:
   monitoring, crash failover from the spill tier, per-shard restart
   breakers) behind the same operation surface as the in-process
   service;
-- :class:`HashRing` / :class:`Rebalancer` / :class:`ScalingController`
-  — the elastic half of the shard runtime: versioned weighted ring,
-  live resize with zero-loss session migration, and load-adaptive
-  scaling with hysteresis and a rebalance circuit breaker;
+- :class:`HashRing` / :class:`Rebalancer` — the elastic half of the
+  shard runtime: versioned weighted ring and operator-driven live
+  resize with zero-loss session migration behind a rebalance circuit
+  breaker;
 - :class:`ForecastHTTPServer` — stdlib JSON-over-HTTP frontend
   (``repro serve``);
 - :class:`TenantAccountant` — bounded-cardinality per-tenant request
@@ -42,8 +42,6 @@ from repro.serving.rebalance import (
     Migration,
     MigrationReport,
     Rebalancer,
-    ScalingConfig,
-    ScalingController,
     ShardLoad,
     plan_migrations,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "MigrationReport",
     "ModelBundle",
     "Rebalancer",
-    "ScalingConfig",
-    "ScalingController",
     "SeriesSession",
     "ServiceConfig",
     "SessionStore",

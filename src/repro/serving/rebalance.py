@@ -1,10 +1,9 @@
-"""Live ring resize: session migration protocol + load-adaptive scaling.
+"""Live ring resize: the session migration protocol.
 
 The elastic half of the shard runtime. :class:`Rebalancer` executes the
 supervisor-driven migration protocol that moves sessions between shard
-workers while they keep serving; :class:`ScalingController` decides
-*when* to move them, from the per-shard load signals the monitor thread
-already collects.
+workers while they keep serving, whenever an operator resizes the ring
+or sheds load off a hot shard.
 
 Migration protocol (per session, driven from the supervisor process)::
 
@@ -47,26 +46,17 @@ exactly one subtree and the retried adopt is a no-op. A migration whose
 retries exhaust is *pinned*: the supervisor routes the session at
 whichever shard's subtree holds its directory, and the session stays
 serveable while the resize reports the failure.
-
-:class:`ScalingController` turns per-shard load samples (queue depth,
-session counts, heartbeat age — the signals ``/stats`` and ``/healthz``
-already export) into grow / shrink / hot-shard-rebalance decisions with
-hysteresis (consecutive agreeing evaluations) and a cooldown between
-actions; the supervisor additionally gates every policy decision behind
-a rebalance circuit breaker so a migration that keeps failing stops
-being retried automatically.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.exceptions import ConfigurationError, ServingError
+from repro.exceptions import ServingError
 from repro.obs import OBS, get_logger
 from repro.obs.trace import NEW_TRACE, TRACER
 from repro.serving.ring import HashRing
@@ -77,8 +67,6 @@ __all__ = [
     "Migration",
     "MigrationReport",
     "Rebalancer",
-    "ScalingConfig",
-    "ScalingController",
     "ShardLoad",
     "plan_migrations",
 ]
@@ -334,205 +322,17 @@ class Rebalancer:
 
 
 # ----------------------------------------------------------------------
-# Load-adaptive scaling
+# Load samples
 # ----------------------------------------------------------------------
 @dataclass
 class ShardLoad:
-    """One shard's load sample, as gathered by the monitor thread."""
+    """One shard's load sample, as gathered from its worker."""
 
     shard: int
     alive: bool = True
     queue_depth: int = 0
     sessions: int = 0
-    heartbeat_age: float = 0.0
 
     def score(self) -> float:
         """Scalar pressure: queue backlog dominates, residency tiebreaks."""
         return 4.0 * float(self.queue_depth) + float(self.sessions)
-
-
-@dataclass
-class ScalingConfig:
-    """Policy knobs of the load-adaptive :class:`ScalingController`.
-
-    ``grow_queue_per_shard`` / ``shrink_queue_per_shard`` bound the mean
-    per-shard queue depth: sustained load above the former grows the
-    fleet by one shard, sustained load below the latter (with at most
-    ``shrink_sessions_per_shard`` resident sessions per shard) shrinks
-    it by one. ``hot_shard_factor`` triggers a weight-based rebalance
-    when one shard's load score exceeds the fleet median by that factor.
-    ``hysteresis`` consecutive agreeing evaluations (spaced ``interval``
-    seconds) are required before any action, and ``cooldown`` seconds
-    must pass after an action before the next — resize storms cannot
-    happen by construction.
-    """
-
-    enabled: bool = True
-    min_shards: int = 1
-    max_shards: int = 8
-    grow_queue_per_shard: float = 8.0
-    shrink_queue_per_shard: float = 0.5
-    shrink_sessions_per_shard: float = 8.0
-    hot_shard_factor: float = 3.0
-    hot_shard_min_score: float = 8.0
-    hysteresis: int = 3
-    cooldown: float = 30.0
-    interval: float = 5.0
-
-    def validate(self) -> None:
-        if self.min_shards < 1 or self.max_shards < self.min_shards:
-            raise ConfigurationError(
-                f"need 1 <= min_shards <= max_shards, got "
-                f"{self.min_shards}..{self.max_shards}"
-            )
-        if self.hysteresis < 1:
-            raise ConfigurationError(
-                f"hysteresis must be >= 1, got {self.hysteresis}"
-            )
-        if self.interval <= 0 or self.cooldown < 0:
-            raise ConfigurationError(
-                "interval must be > 0 and cooldown >= 0"
-            )
-        if self.hot_shard_factor < 1.0:
-            raise ConfigurationError(
-                f"hot_shard_factor must be >= 1, got {self.hot_shard_factor}"
-            )
-
-
-class ScalingController:
-    """Hysteresis-guarded grow/shrink/rebalance decisions from load.
-
-    Pure decision logic (injectable clock, no I/O) so the policy is
-    unit-testable without processes; the supervisor's monitor thread
-    feeds it load samples and executes whatever it returns.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ScalingConfig] = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.config = config if config is not None else ScalingConfig()
-        self.config.validate()
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._next_eval = 0.0
-        self._cooldown_until = 0.0
-        self._grow_streak = 0
-        self._shrink_streak = 0
-        self._hot_streak: Tuple[int, int] = (-1, 0)  # (shard, streak)
-        self.decisions = 0
-
-    # ------------------------------------------------------------------
-    def due(self) -> bool:
-        """Whether enough time has passed for the next evaluation."""
-        with self._lock:
-            return self.config.enabled and self._clock() >= self._next_eval
-
-    def record_action(self) -> None:
-        """Start the post-action cooldown (the supervisor calls this
-        after *any* resize, operator-initiated ones included, so policy
-        decisions never stack on top of a fresh manual change)."""
-        with self._lock:
-            self._cooldown_until = self._clock() + self.config.cooldown
-            self._grow_streak = 0
-            self._shrink_streak = 0
-            self._hot_streak = (-1, 0)
-
-    # ------------------------------------------------------------------
-    def observe(
-        self, n_shards: int, loads: List[ShardLoad]
-    ) -> Optional[Dict[str, Any]]:
-        """Feed one evaluation; returns a decision dict or ``None``.
-
-        Decisions: ``{"action": "grow"|"shrink", "shards": n, "reason"}``
-        or ``{"action": "rebalance", "shard": i, "reason"}``.
-        """
-        config = self.config
-        with self._lock:
-            now = self._clock()
-            if not config.enabled or now < self._next_eval:
-                return None
-            self._next_eval = now + config.interval
-            alive = [load for load in loads if load.alive]
-            if not alive or now < self._cooldown_until:
-                return None
-            mean_queue = sum(l.queue_depth for l in alive) / len(alive)
-            mean_sessions = sum(l.sessions for l in alive) / len(alive)
-            scores = sorted(load.score() for load in alive)
-            median = scores[len(scores) // 2]
-            hottest = max(alive, key=lambda load: load.score())
-
-            # Grow: sustained queue pressure across the fleet.
-            if (
-                mean_queue >= config.grow_queue_per_shard
-                and n_shards < config.max_shards
-            ):
-                self._grow_streak += 1
-                self._shrink_streak = 0
-            # Shrink: sustained idleness (queues drained AND few
-            # residents — a busy-but-fast fleet is left alone).
-            elif (
-                mean_queue <= config.shrink_queue_per_shard
-                and mean_sessions <= config.shrink_sessions_per_shard
-                and n_shards > config.min_shards
-            ):
-                self._shrink_streak += 1
-                self._grow_streak = 0
-            else:
-                self._grow_streak = 0
-                self._shrink_streak = 0
-
-            # Hot shard: one shard far above the fleet median.
-            if (
-                hottest.score() >= config.hot_shard_min_score
-                and hottest.score() > config.hot_shard_factor * max(median, 1.0)
-            ):
-                shard, streak = self._hot_streak
-                self._hot_streak = (
-                    (hottest.shard, streak + 1)
-                    if shard == hottest.shard else (hottest.shard, 1)
-                )
-            else:
-                self._hot_streak = (-1, 0)
-
-            decision = None
-            if self._grow_streak >= config.hysteresis:
-                decision = {
-                    "action": "grow",
-                    "shards": n_shards + 1,
-                    "reason": (
-                        f"mean queue depth {mean_queue:.1f} >= "
-                        f"{config.grow_queue_per_shard:g} for "
-                        f"{self._grow_streak} evaluations"
-                    ),
-                }
-            elif self._hot_streak[1] >= config.hysteresis:
-                decision = {
-                    "action": "rebalance",
-                    "shard": self._hot_streak[0],
-                    "reason": (
-                        f"shard {self._hot_streak[0]} load "
-                        f"{hottest.score():.1f} > "
-                        f"{config.hot_shard_factor:g}x fleet median "
-                        f"{median:.1f}"
-                    ),
-                }
-            elif self._shrink_streak >= config.hysteresis:
-                decision = {
-                    "action": "shrink",
-                    "shards": n_shards - 1,
-                    "reason": (
-                        f"mean queue depth {mean_queue:.2f} and "
-                        f"{mean_sessions:.1f} sessions/shard for "
-                        f"{self._shrink_streak} evaluations"
-                    ),
-                }
-            if decision is not None:
-                self.decisions += 1
-                self._cooldown_until = now + config.cooldown
-                self._grow_streak = 0
-                self._shrink_streak = 0
-                self._hot_streak = (-1, 0)
-            return decision

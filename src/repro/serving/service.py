@@ -95,16 +95,18 @@ class ServiceConfig:
         construction with :class:`ConfigurationError` instead of
         surfacing at the first observe. ``None`` serves any bundle.
     executor / n_jobs:
-        Backend fanning a batch across sessions
-        (:class:`repro.runtime.ExecutorConfig` semantics).
-        ``executor="process"`` selects the supervised shard runtime —
-        sessions are stateful, so process isolation means dedicated
-        shard *workers* (:class:`repro.serving.supervisor.ShardSupervisor`
-        via :func:`make_service`), not a process pool inside one
-        :class:`ForecastService`.
+        In-process batcher backend fanning ``predict`` calls across
+        sessions (``"serial"`` or ``"thread"``,
+        :class:`repro.runtime.ExecutorConfig` semantics).
+        ``"process"`` is accepted only beside ``shards >= 1``, where it
+        has no effect: shard workers always run ``"thread"``.
     shards:
-        Number of supervised shard workers when the shard runtime is
-        selected. ``0`` picks a default from the CPU count.
+        Number of supervised shard worker processes. ``0`` (the
+        default) serves in-process (:class:`ForecastService`); ``> 0``
+        selects the shard runtime
+        (:class:`repro.serving.supervisor.ShardSupervisor`, built by
+        :func:`make_service`). Sessions are stateful, so process
+        isolation means dedicated shard workers, not a process pool.
     durable:
         Acknowledge ``observe`` only after the session state has been
         checkpointed to the spill tier (write-through). Required for the
@@ -140,9 +142,6 @@ class ServiceConfig:
     executor: str = "thread"
     n_jobs: Optional[int] = None
     shards: int = 0
-    autoscale: bool = False
-    min_shards: int = 1
-    max_shards: int = 8
     durable: bool = False
     degraded_mode: bool = True
     breaker_threshold: int = 5
@@ -159,31 +158,22 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"deadline must be > 0 seconds, got {self.deadline}"
             )
-        if self.executor != "process":
-            # The shard runtime owns the process backend; everything
-            # else must be a valid in-process executor.
-            ExecutorConfig(self.executor, self.n_jobs).validate()
         if self.shards < 0:
             raise ConfigurationError(
                 f"shards must be >= 0, got {self.shards}"
             )
-        if self.min_shards < 1 or self.max_shards < self.min_shards:
-            raise ConfigurationError(
-                f"need 1 <= min_shards <= max_shards, got "
-                f"{self.min_shards}..{self.max_shards}"
-            )
+        if self.executor == "process":
+            if self.shards < 1:
+                raise ConfigurationError(
+                    "executor='process' is no backend of its own: set "
+                    "shards >= 1 to select the shard runtime"
+                )
+        else:
+            ExecutorConfig(self.executor, self.n_jobs).validate()
         if self.breaker_threshold < 1 or self.breaker_cooldown < 1:
             raise ConfigurationError(
                 "breaker_threshold and breaker_cooldown must be >= 1"
             )
-
-    def wants_shards(self) -> bool:
-        """Whether this config selects the supervised shard runtime."""
-        return (
-            self.executor == "process"
-            or self.shards > 0
-            or self.autoscale
-        )
 
 
 class ForecastService:
@@ -192,12 +182,12 @@ class ForecastService:
     def __init__(self, bundle, config: Optional[ServiceConfig] = None):
         self.config = config if config is not None else ServiceConfig()
         self.config.validate()
-        if self.config.executor == "process":
+        if self.config.shards > 0:
             raise ConfigurationError(
-                "executor='process' selects the supervised shard "
-                "runtime: build the service with "
-                "repro.serving.make_service(bundle, config) (or "
-                "ShardSupervisor directly) instead of ForecastService"
+                "shards > 0 selects the supervised shard runtime: build "
+                "the service with repro.serving.make_service(bundle, "
+                "config) (or ShardSupervisor directly) instead of "
+                "ForecastService"
             )
         if (
             self.config.agent is not None
@@ -769,7 +759,7 @@ class ForecastService:
         return self.store.session_ids()
 
     def load_stats(self) -> Dict[str, Any]:
-        """Cheap load signals for the supervisor's scaling controller."""
+        """Cheap load signals for the supervisor's hot-shard selection."""
         return {
             "queue_depth": self.batcher.depth,
             "sessions": len(self.store),

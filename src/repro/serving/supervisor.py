@@ -37,14 +37,13 @@ atomically between spill subtrees, and adopted by their new worker
 while requests for them park against their deadlines
 (:mod:`repro.serving.rebalance`). The committed/pending ring is
 journalled to ``ring.json`` under the spill root, so a crash at any
-migration step recovers onto one well-defined ownership map. With
-``autoscale`` enabled, a :class:`~repro.serving.rebalance.ScalingController`
-in the monitor thread turns per-shard load samples into the same
-resize/hot-shard-rebalance calls, behind hysteresis, a cooldown, and a
-rebalance circuit breaker.
+migration step recovers onto one well-defined ownership map. Operators
+also shed load off a hot shard (``POST /admin/rebalance``) by lowering
+its ring weight; a rebalance circuit breaker stops repeatedly failing
+migrations unless the caller forces them.
 
 Construct through :func:`make_service`, which picks this runtime when
-``ServiceConfig.executor == "process"`` or ``shards > 0``.
+``ServiceConfig.shards > 0``.
 """
 
 from __future__ import annotations
@@ -87,12 +86,7 @@ from repro.runtime import (
     RetryPolicy,
     coerce_deadline,
 )
-from repro.serving.rebalance import (
-    Rebalancer,
-    ScalingConfig,
-    ScalingController,
-    ShardLoad,
-)
+from repro.serving.rebalance import Rebalancer, ShardLoad
 from repro.serving.ring import VNODES, HashRing
 from repro.serving.service import ForecastService, ServiceConfig
 from repro.serving.shard import decode_error, worker_main
@@ -127,8 +121,8 @@ RESPAWN_BACKOFF_MAX = 5.0
 #: rebalancer wedged, and the request should fail retryably.
 PARK_WAIT_CAP = 10.0
 
-#: Consecutive failed rebalances tripping the rebalance breaker (policy
-#: resizes are suppressed while it is open; operators can force).
+#: Consecutive failed rebalances tripping the rebalance breaker (resizes
+#: are refused while it is open unless the caller forces them).
 REBALANCE_BREAKER_THRESHOLD = 3
 
 #: Hot-shard rebalancing never drops a shard's ring weight below this.
@@ -141,9 +135,6 @@ RING_JOURNAL = "ring.json"
 def _mp_context():
     """Fork when available (shares the fitted bundle copy-on-write;
     POSIX-only), else the platform default."""
-    method = os.environ.get("REPRO_SHARD_START_METHOD")
-    if method:
-        return multiprocessing.get_context(method)
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
@@ -190,18 +181,17 @@ class ShardSupervisor:
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
     ):
         self.config = config if config is not None else ServiceConfig(
-            executor="process"
+            shards=2
         )
         self.config.validate()
-        self.bundle = bundle
-        self.n_shards = self.config.shards or max(
-            2, min(4, os.cpu_count() or 2)
-        )
-        if getattr(self.config, "autoscale", False):
-            self.n_shards = max(
-                self.config.min_shards,
-                min(self.config.max_shards, self.n_shards),
+        if self.config.shards < 1:
+            raise ConfigurationError(
+                f"ShardSupervisor needs shards >= 1, got "
+                f"{self.config.shards}; use ForecastService (or "
+                f"make_service) for the in-process runtime"
             )
+        self.bundle = bundle
+        self.n_shards = self.config.shards
         spill_root = self.config.spill_dir
         if spill_root is None:
             spill_root = tempfile.mkdtemp(prefix="repro-shards-")
@@ -250,13 +240,6 @@ class ShardSupervisor:
         ]
         for shard in self._shards:
             self._spawn_locked(shard)
-        self._scaler: Optional[ScalingController] = None
-        self._scale_busy = threading.Event()
-        if getattr(self.config, "autoscale", False):
-            self._scaler = ScalingController(ScalingConfig(
-                min_shards=self.config.min_shards,
-                max_shards=self.config.max_shards,
-            ))
         self._monitor = threading.Thread(
             target=self._monitor_loop,
             name="repro-shard-monitor",
@@ -265,10 +248,8 @@ class ShardSupervisor:
         self._monitor.start()
         self._ring_gauges()
         _LOG.info(
-            "shard supervisor up: %d worker(s) (ring v%d%s), spill root %s",
-            self.n_shards, self.ring.version,
-            ", autoscale" if self._scaler is not None else "",
-            spill_root,
+            "shard supervisor up: %d worker(s) (ring v%d), spill root %s",
+            self.n_shards, self.ring.version, spill_root,
         )
 
     # ------------------------------------------------------------------
@@ -596,19 +577,6 @@ class ShardSupervisor:
                         shard.stable = True
                         shard.crashes_in_row = 0
                         shard.breaker.record_success()
-            if (
-                self._scaler is not None
-                and self._scaler.due()
-                and not self._scale_busy.is_set()
-            ):
-                # Load gathering and migrations must not stall the
-                # heartbeat watchdog; run the tick off-thread.
-                self._scale_busy.set()
-                threading.Thread(
-                    target=self._autoscale_tick,
-                    name="repro-shard-autoscale",
-                    daemon=True,
-                ).start()
 
     # ------------------------------------------------------------------
     # RPC plumbing
@@ -1042,7 +1010,7 @@ class ShardSupervisor:
                     self._spawn_locked(shard)
 
     # ------------------------------------------------------------------
-    # Elastic runtime: operator/policy entry points
+    # Elastic runtime: operator entry points
     # ------------------------------------------------------------------
     def _count_resize(self, kind: str) -> None:
         self.resizes += 1
@@ -1068,8 +1036,6 @@ class ShardSupervisor:
             self._rebalance_breaker.record_success()
         else:
             self._rebalance_breaker.record_failure()
-        if self._scaler is not None:
-            self._scaler.record_action()
 
     def resize(
         self, n_shards: int, *, force: bool = False,
@@ -1191,24 +1157,13 @@ class ShardSupervisor:
         info["resizes"] = self.resizes
         return info
 
-    # ------------------------------------------------------------------
-    # Elastic runtime: load-adaptive scaling
-    # ------------------------------------------------------------------
     def _gather_loads(self) -> List[ShardLoad]:
+        """One load sample per ring shard (hot-shard selection)."""
         loads = []
-        now = time.monotonic()
         for shard in list(self._shards)[: self.n_shards]:
             with shard.lock:
                 alive = shard.alive
-                heartbeat = (
-                    shard.heartbeat.value
-                    if shard.heartbeat is not None else now
-                )
-            load = ShardLoad(
-                shard=shard.index,
-                alive=alive,
-                heartbeat_age=max(0.0, now - heartbeat),
-            )
+            load = ShardLoad(shard=shard.index, alive=alive)
             if alive:
                 try:
                     payload = self._call_shard(
@@ -1220,37 +1175,6 @@ class ShardSupervisor:
                     load.alive = False
             loads.append(load)
         return loads
-
-    def _autoscale_tick(self) -> None:
-        try:
-            decision = self._scaler.observe(
-                self.n_shards, self._gather_loads()
-            )
-            if decision is None:
-                return
-            if not self._rebalance_breaker.allow():
-                _LOG.warning(
-                    "autoscale decision %r suppressed: rebalance "
-                    "breaker is open", decision["action"],
-                )
-                return
-            _LOG.info(
-                "autoscale: %s (%s)",
-                decision["action"], decision["reason"],
-            )
-            try:
-                if decision["action"] == "rebalance":
-                    self.rebalance_shard(
-                        decision["shard"], reason="autoscale"
-                    )
-                else:
-                    self.resize(decision["shards"], reason="autoscale")
-            except (ServiceUnavailableError, ConfigurationError) as err:
-                _LOG.warning("autoscale action skipped: %s", err)
-        except Exception as err:  # noqa: BLE001 - monitor must survive
-            _LOG.error("autoscale tick failed: %s", err)
-        finally:
-            self._scale_busy.clear()
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -1433,9 +1357,9 @@ class ShardSupervisor:
 def make_service(bundle, config: Optional[ServiceConfig] = None):
     """Build the serving core the config asks for.
 
-    ``executor="process"`` or ``shards > 0`` selects the supervised
-    shard runtime (:class:`ShardSupervisor`); anything else builds a
-    plain in-process :class:`ForecastService`. Both expose the same
+    ``shards > 0`` selects the supervised shard runtime
+    (:class:`ShardSupervisor`); ``shards == 0`` builds a plain
+    in-process :class:`ForecastService`. Both expose the same
     operations and error taxonomy, so the HTTP frontend and the
     benchmarks accept either.
     """
@@ -1448,6 +1372,6 @@ def make_service(bundle, config: Optional[ServiceConfig] = None):
             f"service configured for agent {config.agent!r} but the "
             f"bundle serves a {bundle.agent_name!r} policy"
         )
-    if config.wants_shards():
+    if config.shards > 0:
         return ShardSupervisor(bundle, config)
     return ForecastService(bundle, config)

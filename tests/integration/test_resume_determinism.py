@@ -199,7 +199,7 @@ class TestSeriesLoopsAcrossExecutors:
     """Series-level loops (pool in the loop) under every backend."""
 
     @pytest.mark.parametrize("executor,n_jobs", [
-        ("serial", None), ("thread", 2), ("process", 2),
+        ("serial", None), ("thread", 2),
     ])
     def test_rolling_forecast_resumes(self, series, tmp_path, executor,
                                       n_jobs):

@@ -1,7 +1,7 @@
 """Determinism suite for the parallel pool execution engine.
 
 The executor's contract is *bit-identity*: for any backend
-(serial/thread/process) and any worker count, `ForecasterPool.fit`,
+(serial/thread) and any worker count, `ForecasterPool.fit`,
 `prediction_matrix_with_mask` and `predict_next_with_mask` must produce
 byte-for-byte the same predictions, masks, drops, and — under the guard
 layer — the same health events, breaker transitions, and quarantine
@@ -31,9 +31,6 @@ BACKEND_GRID = [
     ("thread", 1),
     ("thread", 2),
     ("thread", 4),
-    ("process", 1),
-    ("process", 2),
-    ("process", 4),
 ]
 
 
@@ -179,7 +176,7 @@ class TestEADRLDeterminism:
 
     def test_rolling_forecast_bit_identical(self):
         reference = self._forecast("serial", None)
-        for backend, n_jobs in [("thread", 2), ("process", 2)]:
+        for backend, n_jobs in [("thread", 2)]:
             np.testing.assert_array_equal(
                 self._forecast(backend, n_jobs), reference)
 

@@ -56,7 +56,7 @@ class TestExecutorConfig:
         assert config.resolved_jobs() == available_workers()
 
     def test_explicit_jobs_resolve_verbatim(self):
-        assert ExecutorConfig(backend="process", n_jobs=4).resolved_jobs() == 4
+        assert ExecutorConfig(backend="thread", n_jobs=4).resolved_jobs() == 4
 
     def test_parallel_property(self):
         assert ExecutorConfig(backend="thread", n_jobs=2).parallel
@@ -75,7 +75,7 @@ class TestCoerceExecutor:
         assert config.n_jobs == 3
 
     def test_existing_config_passthrough(self):
-        original = ExecutorConfig(backend="process", n_jobs=2)
+        original = ExecutorConfig(backend="thread", n_jobs=2)
         assert coerce_executor(original) is original
 
     def test_jobs_fills_config_without_jobs(self):
@@ -89,6 +89,8 @@ class TestCoerceExecutor:
     def test_invalid_backend_string_rejected(self):
         with pytest.raises(ConfigurationError):
             coerce_executor("gpu")
+        with pytest.raises(ConfigurationError):
+            coerce_executor("process")
 
 
 class TestRunOrdered:
@@ -111,7 +113,7 @@ class TestRunOrdered:
         assert run_ordered(square, [], config) == []
 
     def test_single_task_runs_inline(self):
-        config = ExecutorConfig(backend="process", n_jobs=4)
+        config = ExecutorConfig(backend="thread", n_jobs=4)
         assert run_ordered(square, [(3,)], config) == [9]
 
     @pytest.mark.parametrize("backend", BACKENDS)

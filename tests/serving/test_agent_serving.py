@@ -73,7 +73,7 @@ class TestStartupMismatchRejection:
                                                      tmp_path):
         with pytest.raises(ConfigurationError):
             make_service(agent_bundles["sac"], ServiceConfig(
-                agent="td3", shards=2, executor="process",
+                agent="td3", shards=2,
                 spill_dir=str(tmp_path / "shards"),
             ))
 

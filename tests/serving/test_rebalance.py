@@ -1,8 +1,7 @@
-"""Elastic shard runtime: migration planning, scaling policy, live resize.
+"""Elastic shard runtime: migration planning and live resize.
 
-Covers the pure pieces without processes (plan determinism, the
-hysteresis/cooldown scaling controller with an injected clock) and the
-end-to-end guarantees with real shard workers: a live resize migrates
+Covers the pure pieces without processes (plan determinism, migration
+reports) and the end-to-end guarantees with real shard workers: a live resize migrates
 every affected session with zero loss and bit-identical forecasts, the
 admin HTTP surface drives it, a crash-looping worker cannot spin the
 monitor thread hot, and shed requests carry a drain-rate Retry-After.
@@ -26,10 +25,7 @@ from repro.serving import (
     ForecastService,
     HashRing,
     MicroBatcher,
-    ScalingConfig,
-    ScalingController,
     ServiceConfig,
-    ShardLoad,
     ShardSupervisor,
 )
 from repro.serving.rebalance import Migration, MigrationReport, plan_migrations
@@ -70,154 +66,6 @@ class TestPlanMigrations:
 
 
 # ----------------------------------------------------------------------
-# Scaling policy (injected clock, no processes)
-# ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def _controller(**overrides):
-    clock = FakeClock()
-    defaults = dict(
-        min_shards=1, max_shards=8, hysteresis=2,
-        cooldown=30.0, interval=5.0,
-    )
-    defaults.update(overrides)
-    return ScalingController(ScalingConfig(**defaults), clock=clock), clock
-
-
-def _loads(n, queue=0, sessions=0):
-    return [
-        ShardLoad(i, queue_depth=queue, sessions=sessions)
-        for i in range(n)
-    ]
-
-
-class TestScalingController:
-    def test_grow_needs_hysteresis_consecutive_evaluations(self):
-        ctl, clock = _controller()
-        assert ctl.observe(2, _loads(2, queue=20)) is None
-        clock.advance(5.0)
-        decision = ctl.observe(2, _loads(2, queue=20))
-        assert decision == {
-            "action": "grow", "shards": 3, "reason": decision["reason"],
-        }
-
-    def test_interval_gates_evaluations(self):
-        ctl, clock = _controller()
-        ctl.observe(2, _loads(2, queue=20))
-        # Same instant: not due yet — must not advance the streak.
-        for _ in range(5):
-            assert ctl.observe(2, _loads(2, queue=20)) is None
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=20))["action"] == "grow"
-
-    def test_mixed_signal_resets_streak(self):
-        ctl, clock = _controller()
-        ctl.observe(2, _loads(2, queue=20))
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=2)) is None  # calm tick
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=20)) is None  # streak restarted
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=20))["action"] == "grow"
-
-    def test_cooldown_blocks_back_to_back_decisions(self):
-        ctl, clock = _controller()
-        ctl.observe(2, _loads(2, queue=20))
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=20))["action"] == "grow"
-        # Pressure persists, but the cooldown absorbs it.
-        for _ in range(4):
-            clock.advance(5.0)
-            assert ctl.observe(3, _loads(3, queue=20)) is None
-        clock.advance(30.0)
-        ctl.observe(3, _loads(3, queue=20))
-        clock.advance(5.0)
-        assert ctl.observe(3, _loads(3, queue=20))["action"] == "grow"
-
-    def test_respects_max_and_min_shards(self):
-        ctl, clock = _controller(max_shards=2, min_shards=2)
-        for _ in range(4):
-            assert ctl.observe(2, _loads(2, queue=50)) is None
-            clock.advance(5.0)
-        for _ in range(4):
-            assert ctl.observe(2, _loads(2, queue=0, sessions=0)) is None
-            clock.advance(5.0)
-
-    def test_shrink_requires_idle_queues_and_few_sessions(self):
-        ctl, clock = _controller()
-        ctl.observe(4, _loads(4, queue=0, sessions=2))
-        clock.advance(5.0)
-        decision = ctl.observe(4, _loads(4, queue=0, sessions=2))
-        assert decision["action"] == "shrink" and decision["shards"] == 3
-        # Busy-but-fast fleet (queues empty, many residents) is left alone.
-        ctl2, clock2 = _controller()
-        for _ in range(4):
-            assert ctl2.observe(4, _loads(4, queue=0, sessions=50)) is None
-            clock2.advance(5.0)
-
-    def test_hot_shard_triggers_rebalance_decision(self):
-        ctl, clock = _controller()
-        loads = _loads(4, queue=0, sessions=1)
-        loads[2] = ShardLoad(2, queue_depth=10, sessions=4)
-        assert ctl.observe(4, loads) is None
-        clock.advance(5.0)
-        decision = ctl.observe(4, loads)
-        assert decision["action"] == "rebalance" and decision["shard"] == 2
-
-    def test_fleetwide_pressure_prefers_grow_over_rebalance(self):
-        ctl, clock = _controller()
-        loads = _loads(4, queue=20, sessions=1)
-        loads[0] = ShardLoad(0, queue_depth=200, sessions=1)
-        ctl.observe(4, loads)
-        clock.advance(5.0)
-        assert ctl.observe(4, loads)["action"] == "grow"
-
-    def test_dead_shards_are_ignored(self):
-        ctl, clock = _controller()
-        loads = [ShardLoad(i, alive=False, queue_depth=99) for i in range(3)]
-        for _ in range(3):
-            assert ctl.observe(3, loads) is None
-            clock.advance(5.0)
-
-    def test_record_action_starts_cooldown(self):
-        ctl, clock = _controller()
-        ctl.observe(2, _loads(2, queue=20))
-        ctl.record_action()  # e.g. an operator resize landed
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=20)) is None
-        clock.advance(30.0)
-        ctl.observe(2, _loads(2, queue=20))
-        clock.advance(5.0)
-        assert ctl.observe(2, _loads(2, queue=20))["action"] == "grow"
-
-    def test_disabled_controller_is_inert(self):
-        ctl, _ = _controller(enabled=False)
-        assert not ctl.due()
-        assert ctl.observe(2, _loads(2, queue=99)) is None
-
-    @pytest.mark.parametrize("bad", [
-        dict(min_shards=0),
-        dict(min_shards=4, max_shards=2),
-        dict(hysteresis=0),
-        dict(interval=0.0),
-        dict(cooldown=-1.0),
-        dict(hot_shard_factor=0.5),
-    ])
-    def test_config_validation(self, bad):
-        with pytest.raises(ConfigurationError):
-            ScalingController(ScalingConfig(**bad))
-
-
-# ----------------------------------------------------------------------
 # Live resize with real shard workers
 # ----------------------------------------------------------------------
 @pytest.fixture()
@@ -225,7 +73,6 @@ def elastic(bundle, tmp_path):
     sup = ShardSupervisor(
         bundle,
         ServiceConfig(
-            executor="process",
             shards=2,
             spill_dir=str(tmp_path / "sup"),
             deadline=15.0,
@@ -413,7 +260,7 @@ class TestRespawnBackoff:
         sup = ShardSupervisor(
             bundle,
             ServiceConfig(
-                executor="process", shards=1, spill_dir=str(tmp_path)
+                shards=1, spill_dir=str(tmp_path)
             ),
         )
         try:

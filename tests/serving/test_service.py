@@ -14,7 +14,13 @@ from repro.exceptions import (
     SessionExistsError,
     SessionNotFoundError,
 )
-from repro.serving import ForecastService, ServiceConfig, SeriesSession
+from repro.serving import (
+    ForecastService,
+    SeriesSession,
+    ServiceConfig,
+    ShardSupervisor,
+    make_service,
+)
 
 
 @pytest.fixture()
@@ -28,19 +34,38 @@ def service(bundle, tmp_path):
 
 
 class TestConfig:
-    def test_process_executor_selects_shard_runtime(self):
-        # The config is now valid (it selects the shard runtime)...
-        config = ServiceConfig(executor="process")
-        config.validate()
-        assert config.wants_shards()
-        assert ServiceConfig(shards=2).wants_shards()
-        assert not ServiceConfig().wants_shards()
+    def test_process_executor_needs_shards(self):
+        # "process" is no in-process backend; it is accepted only beside
+        # shards >= 1, which alone selects the shard runtime.
+        with pytest.raises(ConfigurationError, match="shards"):
+            ServiceConfig(executor="process", shards=0).validate()
+        ServiceConfig(executor="process", shards=2).validate()
 
-    def test_process_executor_rejected_by_forecast_service(self, bundle):
-        # ...but the in-process service still refuses it, pointing the
-        # caller at make_service / ShardSupervisor.
+    def test_forecast_service_rejects_shards(self, bundle):
         with pytest.raises(ConfigurationError, match="make_service"):
-            ForecastService(bundle, ServiceConfig(executor="process"))
+            ForecastService(bundle, ServiceConfig(shards=2))
+
+    def test_supervisor_rejects_zero_shards(self, bundle, tmp_path):
+        with pytest.raises(ConfigurationError, match="shards"):
+            ShardSupervisor(
+                bundle, ServiceConfig(shards=0, spill_dir=str(tmp_path))
+            )
+
+    def test_make_service_selects_runtime_by_shards(self, bundle, tmp_path):
+        plain = make_service(bundle, ServiceConfig(spill_dir=str(tmp_path)))
+        try:
+            assert isinstance(plain, ForecastService)
+        finally:
+            plain.shutdown()
+        # The exact keyword set the ledger benchmark's server passes.
+        sharded = make_service(bundle, ServiceConfig(
+            executor="process", shards=2, spill_dir=str(tmp_path / "sup"),
+        ))
+        try:
+            assert isinstance(sharded, ShardSupervisor)
+            assert sharded.n_shards == 2
+        finally:
+            sharded.shutdown()
 
     @pytest.mark.parametrize(
         "kwargs",

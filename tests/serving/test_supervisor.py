@@ -86,7 +86,6 @@ def supervisor(bundle, tmp_path):
     sup = ShardSupervisor(
         bundle,
         ServiceConfig(
-            executor="process",
             shards=2,
             spill_dir=str(tmp_path),
             deadline=10.0,
@@ -215,7 +214,6 @@ class TestFailover:
         sup = ShardSupervisor(
             bundle,
             ServiceConfig(
-                executor="process",
                 shards=2,
                 spill_dir=str(tmp_path),
                 deadline=10.0,
@@ -232,7 +230,6 @@ class TestFailover:
         sup2 = ShardSupervisor(
             bundle,
             ServiceConfig(
-                executor="process",
                 shards=2,
                 spill_dir=str(tmp_path),
                 deadline=10.0,
@@ -282,7 +279,6 @@ class TestObservability:
         sup = ShardSupervisor(
             bundle,
             ServiceConfig(
-                executor="process",
                 shards=2,
                 spill_dir=str(tmp_path / "wt"),
                 deadline=10.0,
@@ -318,7 +314,6 @@ class TestDistributedTracing:
         sup = ShardSupervisor(
             bundle,
             ServiceConfig(
-                executor="process",
                 shards=2,
                 spill_dir=str(tmp_path / "spill"),
                 deadline=10.0,

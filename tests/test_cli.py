@@ -30,6 +30,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["forecast", "--pool", "giant"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shards", "auto"],
+        ["serve", "--min-shards", "2"],
+        ["forecast", "--executor", "process"],
+    ])
+    def test_removed_options_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_serve_shards_is_an_integer(self):
+        assert build_parser().parse_args(["serve"]).shards == 0
+        assert build_parser().parse_args(["serve", "--shards", "2"]).shards == 2
+
     def test_telemetry_flags(self):
         args = build_parser().parse_args([
             "forecast", "--metrics-out", "m.prom", "--trace", "t.jsonl",
