@@ -25,6 +25,18 @@ to survive, and gates on the promises themselves:
    Every rejection must be a *typed* error (overload / deadline /
    unavailable), never an internal one, and the runtime must report
    healthy once the storm passes.
+5. **Restart at a new shard count** (``restart_reshard``) — sequenced
+   clients load a 2-shard fleet on a fresh spill root; the fleet is
+   stopped and restarted at 4, every client replays its last acked
+   ``seq`` and continues; then a restart at 3 crashes part-way through
+   spill-tree reconciliation (``os.rename`` raises after k moves inside
+   the constructor), and a clean start at 3 finishes the moves. Gates:
+   zero lost acks, every forecast bitwise equal to a never-restarted
+   local twin (replays return the original ack), each session
+   directory in exactly one shard subtree after every start (the ring
+   owner's, once a start completes), the final on-disk checkpoints
+   equal to the twins' state array for array, and observe p99 under
+   ``P99_BOUND_MS``.
 
 Results land in ``CHAOS_serving.json`` for CI artifact upload. The
 ``--quick`` flag shrinks the fleet for CI smoke while keeping every gate
@@ -65,7 +77,8 @@ from repro.models.base import (
 )
 from repro.models.ets import SimpleExpSmoothing
 from repro.rl.ddpg import DDPGConfig
-from repro.serving import ModelBundle, ServiceConfig, ShardSupervisor
+from repro.runtime import CheckpointManager
+from repro.serving import HashRing, ModelBundle, ServiceConfig, ShardSupervisor
 from repro.testing import corrupt_all_snapshots, truncate_file
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -101,11 +114,13 @@ def make_bundle(seed: int = 7) -> tuple:
     return ModelBundle.from_estimator(model, mode="drift"), series
 
 
-def make_supervisor(bundle, spill_root: str) -> ShardSupervisor:
+def make_supervisor(
+    bundle, spill_root: str, shards: int = N_SHARDS
+) -> ShardSupervisor:
     return ShardSupervisor(
         bundle,
         ServiceConfig(
-            shards=N_SHARDS,
+            shards=shards,
             spill_dir=spill_root,
             deadline=30.0,
             max_sessions=64,
@@ -371,6 +386,231 @@ def overload_storm(supervisor, series, *, requests: int) -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# Phase 5: restart at a new shard count, with a crash mid-reconciliation
+# ----------------------------------------------------------------------
+def ownership_scan(spill_root: Path, sids, ring=None) -> dict:
+    """Each session directory must live in exactly one shard subtree —
+    the one ``ring`` routes it to, when a ring is given."""
+    multi, missing, misplaced = [], [], []
+    for sid in sids:
+        owners = [
+            d.name for d in sorted(spill_root.glob("shard-*"))
+            if (d / sid).is_dir()
+        ]
+        if len(owners) > 1:
+            multi.append((sid, owners))
+        elif not owners:
+            missing.append(sid)
+        elif ring is not None and owners != [
+            f"shard-{ring.shard_for(sid):02d}"
+        ]:
+            misplaced.append((sid, owners[0]))
+    strays = sorted(p.name for p in spill_root.glob("shard-*/*~stray"))
+    return {
+        "sessions": len(sids),
+        "multi_owned": multi[:5],
+        "unowned": missing[:5],
+        "misplaced": misplaced[:5],
+        "strays": strays[:5],
+        "ok": not (multi or missing or misplaced or strays),
+    }
+
+
+class RenameCrash:
+    """Patch ``os.rename`` to raise after ``k`` successful calls."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.calls = 0
+        self._rename = os.rename
+
+    def __call__(self, src, dst):
+        if self.calls >= self.k:
+            raise OSError(f"injected crash after {self.k} rename(s)")
+        self._rename(src, dst)
+        self.calls += 1
+
+    def __enter__(self):
+        os.rename = self
+        return self
+
+    def __exit__(self, *exc):
+        os.rename = self._rename
+
+
+def sequenced_load(supervisor, twins, series, acks, latencies, *, steps):
+    """Each session's client sends ``steps`` more sequenced observes."""
+    mismatches, failures = [], []
+
+    def client(index: int, sid: str) -> None:
+        rng = np.random.default_rng([index, len(acks[sid])])
+        for _ in range(steps):
+            seq = len(acks[sid]) + 1
+            value = float(series[HISTORY + seq - 1] + rng.normal(0, 0.05))
+            t0 = time.perf_counter()
+            try:
+                out = supervisor.observe(sid, value, seq=seq)
+            except Exception as err:  # noqa: BLE001 - recorded, gated
+                failures.append((sid, seq, repr(err)))
+                return
+            latencies.append(time.perf_counter() - t0)
+            if out["forecast"] != twins[sid].observe(value):
+                mismatches.append((sid, seq))
+            acks[sid].append((value, out["forecast"]))
+
+    threads = [
+        threading.Thread(target=client, args=(i, sid), name=f"rs-{sid}")
+        for i, sid in enumerate(twins)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    lost = sum(
+        max(0, len(acks[sid]) - supervisor.session_info(sid)["step"])
+        for sid in twins
+    )
+    return {
+        "failures": failures[:5],
+        "requests_failed": len(failures),
+        "mismatches": len(mismatches),
+        "lost_acks": lost,
+        "ok": not failures and not mismatches and lost == 0,
+    }
+
+
+def replay_last_acks(supervisor, acks) -> dict:
+    """Resend every session's last acked seq: it must come back as a
+    duplicate carrying the original forecast."""
+    diverged = []
+    for sid, history in acks.items():
+        value, forecast = history[-1]
+        out = supervisor.observe(sid, value, seq=len(history))
+        if not out.get("duplicate") or out["forecast"] != forecast:
+            diverged.append(sid)
+    return {"replayed": len(acks), "diverged": diverged[:5],
+            "ok": not diverged}
+
+
+def checkpoint_audit(spill_root: Path, twins, ring) -> dict:
+    """Newest durable snapshot of each session vs. its twin, bitwise."""
+    audited, diverged = [], []
+    for sid, twin in twins.items():
+        manager = CheckpointManager(
+            spill_root / f"shard-{ring.shard_for(sid):02d}" / sid
+        )
+        snapshot = manager.restore_latest(
+            "session", context={"session_id": sid}
+        )
+        twin_arrays, _ = twin.checkpoint_state(pristine_light=True)
+        if snapshot is None:
+            diverged.append((sid, "no durable snapshot"))
+        elif set(snapshot.arrays) != set(twin_arrays):
+            diverged.append((sid, "array key sets differ"))
+        elif not all(
+            np.array_equal(snapshot.arrays[key], np.asarray(value))
+            for key, value in twin_arrays.items()
+        ):
+            diverged.append((sid, "arrays differ"))
+        else:
+            audited.append(sid)
+    return {"audited": len(audited), "diverged": diverged[:5],
+            "ok": bool(audited) and not diverged}
+
+
+def restart_reshard(bundle, series, *, sessions: int, steps: int) -> dict:
+    """2 shards -> restart at 4 -> crashed restart at 3 -> clean start."""
+    spill_root = Path(tempfile.mkdtemp(prefix="chaos-reshard-"))
+    sids = [f"reshard-{i:04d}" for i in range(sessions)]
+    twins = {sid: bundle.create_session(sid, series[:HISTORY]) for sid in sids}
+    acks = {sid: [] for sid in sids}
+    latencies = []
+    steps_out = {}
+
+    supervisor = make_supervisor(bundle, str(spill_root), shards=2)
+    try:
+        for sid in sids:
+            supervisor.create_session(sid, series[:HISTORY])
+        steps_out["load_at_2"] = sequenced_load(
+            supervisor, twins, series, acks, latencies, steps=steps
+        )
+    finally:
+        supervisor.shutdown()
+
+    supervisor = make_supervisor(bundle, str(spill_root), shards=4)
+    try:
+        steps_out["ownership_at_4"] = ownership_scan(
+            spill_root, sids, HashRing(4)
+        )
+        steps_out["replay_at_4"] = replay_last_acks(supervisor, acks)
+        steps_out["load_at_4"] = sequenced_load(
+            supervisor, twins, series, acks, latencies, steps=steps
+        )
+    finally:
+        supervisor.shutdown()
+
+    # Crash the start at 3 part-way through reconciliation: no worker
+    # has spawned yet, so the constructor's error is the whole crash.
+    old, new = HashRing(4), HashRing(3)
+    planned = sum(old.shard_for(s) != new.shard_for(s) for s in sids)
+    k = max(1, planned // 2)
+    crash = {"planned_moves": planned, "crash_after": k, "raised": None}
+    with RenameCrash(k) as rename:
+        try:
+            make_supervisor(bundle, str(spill_root), shards=3).shutdown()
+        except OSError as err:
+            crash["raised"] = str(err)
+    crash["moves_before_crash"] = rename.calls
+    crash["ownership"] = ownership_scan(spill_root, sids)
+    crash["ok"] = (
+        crash["raised"] is not None
+        and rename.calls == k < planned
+        and crash["ownership"]["ok"]
+    )
+    steps_out["crashed_start_at_3"] = crash
+
+    supervisor = make_supervisor(bundle, str(spill_root), shards=3)
+    try:
+        steps_out["ownership_at_3"] = ownership_scan(spill_root, sids, new)
+        steps_out["load_at_3"] = sequenced_load(
+            supervisor, twins, series, acks, latencies, steps=steps
+        )
+    finally:
+        supervisor.shutdown()
+    steps_out["checkpoint_audit"] = checkpoint_audit(spill_root, twins, new)
+
+    flat = np.asarray(latencies)
+    p99_ms = float(np.percentile(flat, 99) * 1e3) if flat.size else None
+    acked = sum(len(history) for history in acks.values())
+    return {
+        "sessions": sessions,
+        "steps_per_start": steps,
+        "requests_acked": acked,
+        "lost_acks": sum(
+            steps_out[key]["lost_acks"]
+            for key in ("load_at_2", "load_at_4", "load_at_3")
+        ),
+        "bit_identity_mismatches": sum(
+            steps_out[key]["mismatches"]
+            for key in ("load_at_2", "load_at_4", "load_at_3")
+        ),
+        **steps_out,
+        "latency_ms": {
+            "p50": float(np.percentile(flat, 50) * 1e3),
+            "p99": p99_ms,
+            "max": float(flat.max() * 1e3),
+        } if flat.size else None,
+        "p99_bound_ms": P99_BOUND_MS,
+        "ok": (
+            all(step["ok"] for step in steps_out.values())
+            and acked == 3 * steps * sessions
+            and p99_ms is not None
+            and p99_ms <= P99_BOUND_MS
+        ),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sessions", type=int, default=16,
@@ -381,6 +621,8 @@ def main(argv=None) -> int:
                         help="SIGKILLs fired during the load phase")
     parser.add_argument("--storm", type=int, default=200,
                         help="burst size of the overload phase")
+    parser.add_argument("--reshard-sessions", type=int, default=16,
+                        help="tenant sessions in the restart phase")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: smaller fleet, same gates")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
@@ -391,6 +633,7 @@ def main(argv=None) -> int:
         args.steps = min(args.steps, 10)
         args.kills = min(args.kills, 2)
         args.storm = min(args.storm, 80)
+        args.reshard_sessions = min(args.reshard_sessions, 8)
 
     print(f"shards={N_SHARDS} sessions={args.sessions} "
           f"steps={args.steps} kills={args.kills} storm={args.storm}")
@@ -434,6 +677,19 @@ def main(argv=None) -> int:
     finally:
         shutdown = supervisor.shutdown()
 
+    reshard = restart_reshard(
+        bundle, series, sessions=args.reshard_sessions, steps=args.steps,
+    )
+    crash = reshard["crashed_start_at_3"]
+    print(f"restart reshard 2->4->3: acked={reshard['requests_acked']} "
+          f"lost_acks={reshard['lost_acks']} "
+          f"mismatches={reshard['bit_identity_mismatches']} "
+          f"crash after {crash['moves_before_crash']}/"
+          f"{crash['planned_moves']} move(s) "
+          f"audit={reshard['checkpoint_audit']['audited']} "
+          f"p99={reshard['latency_ms']['p99']:.1f}ms "
+          f"({'ok' if reshard['ok'] else 'FAILED'})")
+
     result = {
         "chaos": "serving",
         "quick": args.quick,
@@ -443,6 +699,7 @@ def main(argv=None) -> int:
         "torn_spill": torn,
         "degraded_mode": degraded,
         "overload_storm": storm,
+        "restart_reshard": reshard,
         "shutdown": shutdown,
     }
     args.output.write_text(json.dumps(result, indent=2) + "\n")
@@ -460,6 +717,12 @@ def main(argv=None) -> int:
         failed.append("corrupt-spill session did not serve degraded mode")
     if not storm["ok"]:
         failed.append("overload storm produced untyped errors or bad health")
+    if not reshard["ok"]:
+        failed.append(
+            "restart_reshard phase: lost acks, bit-identity drift, a "
+            "session not in exactly one (its ring owner's) subtree, a "
+            "checkpoint diverging from its twin, or p99 over bound"
+        )
     if failed:
         for message in failed:
             print(f"ERROR: {message}", file=sys.stderr)

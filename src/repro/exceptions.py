@@ -143,29 +143,6 @@ class ServiceOverloadedError(ServingError):
         self.retry_after = 0.05 if retry_after is None else float(retry_after)
 
 
-class SessionMigratingError(ServingError):
-    """The session is mid-migration to another shard; retry shortly.
-
-    Raised by the session store for requests that reach a worker after
-    it released the session (final durable checkpoint written, spill
-    directory handed to the new owner) — the request raced the
-    handoff through the worker's queue. Retryable by construction: the
-    supervisor re-routes and retries idempotent requests transparently,
-    and the HTTP layer maps anything that escapes to a 503 with a
-    ``Retry-After`` header.
-    """
-
-    #: Suggested client back-off, surfaced as the HTTP ``Retry-After``.
-    retry_after: float = 0.1
-
-    def __init__(self, session_id: str):
-        super().__init__(
-            f"session {session_id!r} is migrating to another shard; "
-            "retry shortly"
-        )
-        self.session_id = session_id
-
-
 class DeadlineExceededError(ServingError):
     """A request spent longer than its deadline budget (HTTP 503).
 

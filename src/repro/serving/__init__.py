@@ -20,10 +20,9 @@ process, stdlib + numpy only:
   monitoring, crash failover from the spill tier, per-shard restart
   breakers) behind the same operation surface as the in-process
   service;
-- :class:`HashRing` / :class:`Rebalancer` — the elastic half of the
-  shard runtime: versioned weighted ring and operator-driven live
-  resize with zero-loss session migration behind a rebalance circuit
-  breaker;
+- :class:`HashRing` — the consistent-hash placement of session ids on
+  shards; the shard count is fixed for a supervisor's life, and a
+  restart at a new count moves ~K/n spill directories to their owners;
 - :class:`ForecastHTTPServer` — stdlib JSON-over-HTTP frontend
   (``repro serve``);
 - :class:`TenantAccountant` — bounded-cardinality per-tenant request
@@ -38,13 +37,6 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.bundle import ModelBundle, session_seed
 from repro.serving.http import ForecastHTTPServer
 from repro.serving.lifecycle import GracefulShutdown
-from repro.serving.rebalance import (
-    Migration,
-    MigrationReport,
-    Rebalancer,
-    ShardLoad,
-    plan_migrations,
-)
 from repro.serving.ring import HashRing
 from repro.serving.service import ForecastService, ServiceConfig
 from repro.serving.session import SeriesSession
@@ -66,18 +58,13 @@ __all__ = [
     "GracefulShutdown",
     "HashRing",
     "MicroBatcher",
-    "Migration",
-    "MigrationReport",
     "ModelBundle",
-    "Rebalancer",
     "SeriesSession",
     "ServiceConfig",
     "SessionStore",
-    "ShardLoad",
     "ShardSupervisor",
     "TenantAccountant",
     "make_service",
-    "plan_migrations",
     "session_seed",
     "validate_session_id",
 ]

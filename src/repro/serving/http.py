@@ -18,16 +18,10 @@ Routes
 ``GET    /healthz``                             liveness (200/503)
 ``GET    /stats``                               service counters
 ``GET    /metrics``                             Prometheus text format
-``POST   /admin/resize``                        grow/shrink the fleet
-``POST   /admin/rebalance``                     shed load off a hot shard
-``GET    /admin/ring``                          ring + migration state
 ==============================================  ======================
 
-The ``/admin/*`` routes exist only on the supervised shard runtime
-(404 otherwise). Resize body: ``{"shards": <int>, "force"?: bool}``;
-rebalance body: ``{"shard"?: <int>, "factor"?: <0..1>, "force"?: bool}``
-(no shard picks the heaviest). Both answer 503 while another
-resize/rebalance is running or the rebalance breaker is open.
+The shard count of a supervised runtime is not an HTTP operation:
+restart the server with a new ``--shards`` to change it.
 
 Create body: ``{"session": "id", "history": [..], "mode"?, "interval"?,
 "updates_per_trigger"?, "seed"?}``. Observe body: ``{"y": <number>,
@@ -69,7 +63,6 @@ from repro.exceptions import (
     ServingError,
     SessionCorruptError,
     SessionExistsError,
-    SessionMigratingError,
     SessionNotFoundError,
     WorkerCrashedError,
 )
@@ -87,10 +80,8 @@ def _status_for(error: BaseException) -> int:
     # ServingError catch-all turns them into client errors.
     if isinstance(error, ServiceOverloadedError):
         return 429
-    if isinstance(error, (SessionCorruptError, SessionMigratingError)):
-        return 503
-    if isinstance(error, (DeadlineExceededError, ServiceUnavailableError,
-                          WorkerCrashedError)):
+    if isinstance(error, (SessionCorruptError, DeadlineExceededError,
+                          ServiceUnavailableError, WorkerCrashedError)):
         return 503
     if isinstance(error, SessionNotFoundError):
         return 404
@@ -161,10 +152,9 @@ class _Handler(BaseHTTPRequestHandler):
             # rate: roughly when the queue will have room again.
             payload["retry_after"] = error.retry_after
             headers = {"Retry-After": f"{error.retry_after:g}"}
-        if isinstance(error, (SessionCorruptError, SessionMigratingError)):
-            # Typed 503s: the session's state is corrupt (or mid-move
-            # to another shard), not the service — tell the client when
-            # to retry.
+        if isinstance(error, SessionCorruptError):
+            # Typed 503: the session's state is corrupt, not the
+            # service — tell the client when to retry.
             payload["retry_after"] = error.retry_after
             payload["session"] = error.session_id
             headers = {"Retry-After": f"{error.retry_after:g}"}
@@ -194,22 +184,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             return value
         return None
-
-    def _admin(self, name: str):
-        """Resolve an elastic-runtime operation on the backing service.
-
-        ``/admin/*`` routes only exist on the supervised shard runtime;
-        for a plain in-process service this returns ``None`` and the
-        route answers 404.
-        """
-        return getattr(self.service, name, None)
-
-    def _admin_unsupported(self) -> None:
-        self._send_json(404, {
-            "error": "NotFound",
-            "detail": "admin routes need the supervised shard runtime "
-                      "(serve with --shards)",
-        })
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length", 0) or 0)
@@ -255,44 +229,6 @@ class _Handler(BaseHTTPRequestHandler):
                         body["session"], body["history"], **kwargs
                     )
                     self._send_json(201, info)
-                    return
-                if path == "/admin/resize":
-                    resize = self._admin("resize")
-                    if resize is None:
-                        self._admin_unsupported()
-                        return
-                    body = self._read_json()
-                    if "shards" not in body or isinstance(
-                        body["shards"], bool
-                    ) or not isinstance(body["shards"], int):
-                        raise DataValidationError(
-                            "resize body needs an integer 'shards'"
-                        )
-                    self._send_json(200, resize(
-                        body["shards"], force=bool(body.get("force", False))
-                    ))
-                    return
-                if path == "/admin/rebalance":
-                    rebalance = self._admin("rebalance_shard")
-                    if rebalance is None:
-                        self._admin_unsupported()
-                        return
-                    body = self._read_json()
-                    shard = body.get("shard")
-                    if shard is not None and (
-                        isinstance(shard, bool) or not isinstance(shard, int)
-                    ):
-                        raise DataValidationError(
-                            "'shard' must be an integer when given"
-                        )
-                    kwargs = {"force": bool(body.get("force", False))}
-                    if "factor" in body:
-                        if not isinstance(body["factor"], (int, float)):
-                            raise DataValidationError(
-                                "'factor' must be a number"
-                            )
-                        kwargs["factor"] = float(body["factor"])
-                    self._send_json(200, rebalance(shard, **kwargs))
                     return
                 session_id, action = self._session_route()
                 if session_id is not None and action == "observe":
@@ -354,13 +290,6 @@ class _Handler(BaseHTTPRequestHandler):
                     self.send_header("Content-Length", str(len(body)))
                     self.end_headers()
                     self.wfile.write(body)
-                    return
-                if path == "/admin/ring":
-                    ring_info = self._admin("ring_info")
-                    if ring_info is None:
-                        self._admin_unsupported()
-                        return
-                    self._send_json(200, ring_info())
                     return
                 session_id, action = self._session_route()
                 if session_id is not None and action == "predict":

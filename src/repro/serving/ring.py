@@ -1,51 +1,37 @@
-"""Versioned consistent-hash ring with weighted nodes.
+"""Consistent-hash ring placing session ids on shards.
 
 Extracted from :mod:`repro.serving.supervisor` so the placement
-function has a life of its own: the supervisor routes sessions with it,
-the rebalancer diffs two ring versions to plan migrations, and the
-chaos/property tests can exercise placement without any processes.
+function has a life of its own: the supervisor routes sessions with it
+and reconciles its spill tree against it at startup, and the property
+tests can exercise placement without any processes.
 
-Properties the elastic runtime leans on:
+Properties the shard runtime leans on:
 
-- **stability** — placement depends only on ``(key, nodes, weights,
-  vnodes)``; a restarted supervisor with the same ring routes every
-  session back to the shard whose spill subtree holds its checkpoints.
-  The vnode label format (``shard-<i>-vn-<v>``) is frozen: changing it
-  would silently strand every spilled session;
-- **minimal disruption** — growing or shrinking by one shard moves only
-  the keys owned by the added/removed vnodes, ~``K/n`` of the key set,
-  never a full reshuffle (``tests/serving/test_ring.py`` bounds the
-  moved fraction at ``1.5 * K/n``);
-- **weighted nodes** — a shard's weight scales its vnode count.
-  Lowering a weight removes that shard's *highest-index* vnodes, so the
-  only keys that move are keys moving **off** the hot shard — the
-  primitive behind hot-shard rebalancing;
-- **versioning** — every derived ring (:meth:`resized`,
-  :meth:`reweighted`) carries ``version + 1``; the rebalancer tags each
-  migration with the (old, new) version pair and the supervisor
-  persists the live ring (:meth:`to_dict`) so a crash mid-resize
-  recovers onto one well-defined ownership map.
+- **stability** — placement depends only on ``(key, n_shards,
+  vnodes)``; a restarted supervisor with the same shard count routes
+  every session back to the shard whose spill subtree holds its
+  checkpoints. The vnode label format (``shard-<i>-vn-<v>``) is frozen:
+  changing it would silently strand every spilled session;
+- **minimal disruption** — a ring with one shard more or fewer moves
+  only the keys owned by the added/removed vnodes, ~``K/n`` of the key
+  set, never a full reshuffle (``tests/serving/test_ring.py`` bounds
+  the moved fraction at ``1.5 * K/n``). Restarting the fleet at a new
+  shard count therefore renames only that slice of the spill tree.
 """
 
 from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 
-#: Virtual nodes per unit of shard weight (smooths the partition).
-#: CRC32 mixes these short labels unevenly, so the count is set high
-#: enough that per-shard ownership stays within the balance / minimal-
-#: disruption bounds pinned by ``tests/serving/test_ring.py`` up to 32
-#: shards (8k points at 32 shards — still microseconds to build).
+#: Virtual nodes per shard (smooths the partition). CRC32 mixes these
+#: short labels unevenly, so the count is set high enough that
+#: per-shard ownership stays within the balance / minimal-disruption
+#: bounds pinned by ``tests/serving/test_ring.py`` up to 32 shards (8k
+#: points at 32 shards — still microseconds to build).
 VNODES = 256
-
-#: Weights below this are treated as "no vnodes at all" (a fully
-#: drained shard); tiny positive weights would still round up to one
-#: vnode and keep attracting keys.
-MIN_WEIGHT = 1e-3
 
 
 def _hash_point(label: str) -> int:
@@ -53,23 +39,14 @@ def _hash_point(label: str) -> int:
 
 
 class HashRing:
-    """Consistent CRC32 hash ring with virtual nodes and versioning.
+    """Consistent CRC32 hash ring with virtual nodes.
 
-    ``weights`` holds one float per shard (default 1.0 each); shard
-    ``i`` owns ``round(vnodes * weights[i])`` virtual nodes labelled
-    ``shard-i-vn-0 .. shard-i-vn-(count-1)``. Because a weight change
-    only adds or removes the *tail* of a shard's vnode list, every
-    derived ring disturbs the smallest possible key set.
+    Shard ``i`` owns ``vnodes`` virtual nodes labelled
+    ``shard-i-vn-0 .. shard-i-vn-(vnodes-1)``; a key belongs to the
+    owner of the first vnode point at or after its own CRC32.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        vnodes: int = VNODES,
-        *,
-        weights: Optional[Sequence[float]] = None,
-        version: int = 0,
-    ):
+    def __init__(self, n_shards: int, vnodes: int = VNODES):
         if n_shards < 1:
             raise ConfigurationError(
                 f"hash ring needs >= 1 shard, got {n_shards}"
@@ -78,46 +55,16 @@ class HashRing:
             raise ConfigurationError(
                 f"hash ring needs >= 1 vnode per shard, got {vnodes}"
             )
-        if weights is None:
-            weights = [1.0] * n_shards
-        weights = [float(w) for w in weights]
-        if len(weights) != n_shards:
-            raise ConfigurationError(
-                f"ring weights length {len(weights)} != shard count "
-                f"{n_shards}"
-            )
-        if any(w < 0 for w in weights):
-            raise ConfigurationError("ring weights must be >= 0")
         self.n_shards = int(n_shards)
         self.vnodes = int(vnodes)
-        self.version = int(version)
-        self.weights: Tuple[float, ...] = tuple(weights)
-        points: List[int] = []
-        owners: List[int] = []
         pairs = sorted(
             (_hash_point(f"shard-{shard}-vn-{v}"), shard)
-            for shard in range(n_shards)
-            for v in range(self._vnode_count(shard))
+            for shard in range(self.n_shards)
+            for v in range(self.vnodes)
         )
-        for point, owner in pairs:
-            points.append(point)
-            owners.append(owner)
-        if not points:
-            raise ConfigurationError(
-                "ring has no vnodes: every shard weight is ~0"
-            )
-        self._points = points
-        self._owners = owners
+        self._points = [point for point, _ in pairs]
+        self._owners = [owner for _, owner in pairs]
 
-    def _vnode_count(self, shard: int) -> int:
-        weight = self.weights[shard]
-        if weight < MIN_WEIGHT:
-            return 0
-        return max(1, round(self.vnodes * weight))
-
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
     def shard_for(self, key: str) -> int:
         h = zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF
         index = bisect.bisect_right(self._points, h)
@@ -125,88 +72,5 @@ class HashRing:
             index = 0
         return self._owners[index]
 
-    def vnode_counts(self) -> List[int]:
-        """Virtual nodes currently owned by each shard."""
-        return [self._vnode_count(shard) for shard in range(self.n_shards)]
-
-    # ------------------------------------------------------------------
-    # Derived rings (each bumps the version)
-    # ------------------------------------------------------------------
-    def resized(self, n_shards: int) -> "HashRing":
-        """A ring with ``n_shards`` shards (grow appends unit-weight
-        shards; shrink drops the highest-index shards), version + 1."""
-        if n_shards < 1:
-            raise ConfigurationError(
-                f"cannot resize ring to {n_shards} shard(s)"
-            )
-        if n_shards >= self.n_shards:
-            weights = list(self.weights) + [1.0] * (
-                n_shards - self.n_shards
-            )
-        else:
-            weights = list(self.weights[:n_shards])
-        return HashRing(
-            n_shards, self.vnodes, weights=weights,
-            version=self.version + 1,
-        )
-
-    def reweighted(self, shard: int, weight: float) -> "HashRing":
-        """A ring with ``shard``'s weight replaced, version + 1."""
-        if not 0 <= shard < self.n_shards:
-            raise ConfigurationError(
-                f"shard {shard} outside ring of {self.n_shards}"
-            )
-        if weight < 0:
-            raise ConfigurationError(f"weight must be >= 0, got {weight}")
-        weights = list(self.weights)
-        weights[shard] = float(weight)
-        return HashRing(
-            self.n_shards, self.vnodes, weights=weights,
-            version=self.version + 1,
-        )
-
-    # ------------------------------------------------------------------
-    # Diffing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def ownership_diff(
-        old: "HashRing", new: "HashRing", keys: Iterable[str]
-    ) -> Dict[str, Tuple[int, int]]:
-        """``{key: (old_owner, new_owner)}`` for every key that moves."""
-        moved: Dict[str, Tuple[int, int]] = {}
-        for key in keys:
-            src = old.shard_for(key)
-            dst = new.shard_for(key)
-            if src != dst:
-                moved[key] = (src, dst)
-        return moved
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_shards": self.n_shards,
-            "vnodes": self.vnodes,
-            "version": self.version,
-            "weights": list(self.weights),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "HashRing":
-        return cls(
-            int(payload["n_shards"]),
-            int(payload.get("vnodes", VNODES)),
-            weights=payload.get("weights"),
-            version=int(payload.get("version", 0)),
-        )
-
-    def describe(self) -> Dict[str, Any]:
-        """Operator-facing ring summary (``GET /admin/ring``)."""
-        return dict(self.to_dict(), vnode_counts=self.vnode_counts())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HashRing(n_shards={self.n_shards}, vnodes={self.vnodes}, "
-            f"version={self.version}, weights={list(self.weights)})"
-        )
+        return f"HashRing(n_shards={self.n_shards}, vnodes={self.vnodes})"

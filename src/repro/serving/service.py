@@ -742,30 +742,6 @@ class ForecastService:
         )
 
     # ------------------------------------------------------------------
-    # Migration hooks (used by the shard runtime's rebalancer)
-    # ------------------------------------------------------------------
-    def release_session(
-        self, session_id: str, *, timeout: float = 5.0
-    ) -> Dict[str, Any]:
-        """Quiesce + final checkpoint; ownership passes to the caller."""
-        return self.store.release(session_id, timeout=timeout)
-
-    def adopt_session(self, session_id: str) -> bool:
-        """Register a spill directory migrated into this service's tree."""
-        return self.store.adopt(session_id)
-
-    def session_ids(self) -> List[str]:
-        """Every session this service answers for (any tier)."""
-        return self.store.session_ids()
-
-    def load_stats(self) -> Dict[str, Any]:
-        """Cheap load signals for the supervisor's hot-shard selection."""
-        return {
-            "queue_depth": self.batcher.depth,
-            "sessions": len(self.store),
-        }
-
-    # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
         breaker = self.breaker.state.value
         healthy = (

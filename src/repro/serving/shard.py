@@ -46,7 +46,6 @@ from repro.exceptions import (
     ServingError,
     SessionCorruptError,
     SessionExistsError,
-    SessionMigratingError,
     SessionNotFoundError,
     WorkerCrashedError,
 )
@@ -95,9 +94,6 @@ _DECODERS = {
         x.get("session_id", "?")
     ),
     "SessionCorruptError": lambda d, x: SessionCorruptError(
-        x.get("session_id", "?")
-    ),
-    "SessionMigratingError": lambda d, x: SessionMigratingError(
         x.get("session_id", "?")
     ),
     "ServiceOverloadedError": lambda d, x: ServiceOverloadedError(
@@ -191,16 +187,6 @@ def _dispatch(
         elif op == "close":
             service.close_session(args["session_id"])
             result = {"closed": args["session_id"]}
-        elif op == "release":
-            result = service.release_session(
-                args["session_id"], timeout=args.get("timeout", 5.0)
-            )
-        elif op == "adopt":
-            result = service.adopt_session(args["session_id"])
-        elif op == "sessions":
-            result = service.session_ids()
-        elif op == "load":
-            result = service.load_stats()
         elif op == "health":
             result = service.health()
         elif op == "stats":

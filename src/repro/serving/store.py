@@ -52,7 +52,6 @@ from repro.exceptions import (
     ServingError,
     SessionCorruptError,
     SessionExistsError,
-    SessionMigratingError,
     SessionNotFoundError,
 )
 from repro.obs import OBS, get_logger
@@ -152,16 +151,7 @@ class SessionStore:
         self._pins: Dict[str, int] = {}
         self._spilled: set = set()
         self._degraded: Dict[str, DegradedSession] = {}
-        #: Migration tombstones: ids released to another owner. Requests
-        #: that raced the handoff through the worker's queue land here
-        #: and get the retryable SessionMigratingError instead of a
-        #: misleading SessionNotFoundError. Cleared by adopt (the
-        #: session came back), create, and close.
-        self._released: set = set()
         self._lock = threading.Lock()
-        # Signalled whenever a pin count drops to zero; release() waits
-        # on it to quiesce a session before the final migration spill.
-        self._unpinned = threading.Condition(self._lock)
         #: Optional callable ``(session_id) -> None`` invoked after each
         #: successful spill restore — the service points it at the
         #: tenant accountant so restores are attributed per tenant.
@@ -395,7 +385,6 @@ class SessionStore:
     def _check_creatable_locked(self, session_id: str) -> None:
         if session_id in self._sessions or session_id in self._spilled:
             raise SessionExistsError(session_id)
-        self._released.discard(session_id)
         if self._degraded.pop(session_id, None) is not None:
             if self.spill_dir is not None:
                 shutil.rmtree(
@@ -411,8 +400,6 @@ class SessionStore:
         """Yield the (restored-if-spilled) session, pinned against spill."""
         with self._lock:
             self.acquires += 1
-            if session_id in self._released:
-                raise SessionMigratingError(session_id)
             if session_id in self._degraded:
                 raise SessionCorruptError(session_id)
             session = self._sessions.get(session_id)
@@ -433,7 +420,6 @@ class SessionStore:
                     self._pins[session_id] = remaining
                 else:
                     self._pins.pop(session_id, None)
-                    self._unpinned.notify_all()
 
     def sync(self, session_id: str) -> bool:
         """Checkpoint a resident session in place (durable write-through).
@@ -451,113 +437,6 @@ class SessionStore:
         with TRACER.child_span("store.checkpoint", session=session_id):
             self._save_snapshot(session_id, session)
         return True
-
-    # ------------------------------------------------------------------
-    # Migration hooks: quiesce-and-release / adopt
-    # ------------------------------------------------------------------
-    def release(
-        self, session_id: str, *, timeout: float = 5.0
-    ) -> Dict[str, Any]:
-        """Quiesce a session and hand its ownership back to disk.
-
-        The drain step of the migration protocol: wait for in-flight
-        requests (pins) to finish, write one final durable checkpoint
-        (idempotency ledger included — it lives in the session's
-        checkpoint state), then forget the session *without* touching
-        its spill directory, so the new owner can adopt the files.
-
-        Idempotent by construction: releasing a spilled session just
-        forgets it (its durable state is already on disk) and releasing
-        an unknown id reports ``known=False`` instead of raising — a
-        supervisor retrying a release after a worker crash must not
-        fail on the replacement worker that never resurrected the
-        session.
-        """
-        deadline = time.monotonic() + max(0.0, timeout)
-        with self._lock:
-            # Tombstone first: requests arriving from here on bounce
-            # with the retryable SessionMigratingError instead of
-            # piling new pins onto a session we are trying to drain.
-            self._released.add(session_id)
-            try:
-                while self._pins.get(session_id, 0) > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ServingError(
-                            f"session {session_id!r} still has "
-                            f"{self._pins[session_id]} in-flight "
-                            f"request(s) after {timeout:.1f}s; "
-                            "release aborted"
-                        )
-                    self._unpinned.wait(remaining)
-            except BaseException:
-                self._released.discard(session_id)
-                raise
-            session = self._sessions.pop(session_id, None)
-            was_spilled = session_id in self._spilled
-            self._spilled.discard(session_id)
-            degraded = self._degraded.pop(session_id, None)
-            step = session.step if session is not None else None
-            if session is not None:
-                with TRACER.child_span("store.release", session=session_id):
-                    self._save_snapshot(session_id, session)
-                self.evictions += 1
-            elif degraded is not None and degraded.history is not None:
-                # Degraded sessions have no snapshot to write, but their
-                # sidecar (with any degraded-mode observations) must
-                # travel with them.
-                self._write_sidecar(session_id, degraded.history)
-            self._managers.pop(session_id, None)
-            self._last_manifest.pop(session_id, None)
-            self._sidecar_dirs.discard(session_id)
-            self._gauges()
-            known = session is not None or was_spilled or degraded is not None
-        if known:
-            _LOG.debug("released session %s for migration", session_id)
-        return {
-            "session": session_id,
-            "known": known,
-            "resident": session is not None,
-            "degraded": degraded is not None,
-            "step": step,
-        }
-
-    def adopt(self, session_id: str) -> bool:
-        """Register a session whose spill directory just arrived.
-
-        The adopt step of the migration protocol (and of failover
-        reconciliation): the session restores lazily on first access,
-        exactly like a spilled session re-adopted at startup. Returns
-        False when no spill directory exists — the caller decides
-        whether that is an error. Idempotent for already-known ids.
-        """
-        validate_session_id(session_id)
-        with self._lock:
-            if (
-                session_id in self._sessions
-                or session_id in self._spilled
-                or session_id in self._degraded
-            ):
-                self._released.discard(session_id)
-                return True
-            if self.spill_dir is None or not (
-                self.spill_dir / session_id
-            ).is_dir():
-                return False
-            self._released.discard(session_id)
-            self._spilled.add(session_id)
-            self._gauges()
-        _LOG.debug("adopted migrated session %s", session_id)
-        return True
-
-    def session_ids(self) -> List[str]:
-        """Every session this store answers for (any tier)."""
-        with self._lock:
-            return sorted(
-                set(self._sessions)
-                | self._spilled
-                | set(self._degraded)
-            )
 
     # ------------------------------------------------------------------
     # Degraded sessions (corrupt spill state)
@@ -587,7 +466,6 @@ class SessionStore:
             )
             self._spilled.discard(session_id)
             self._degraded.pop(session_id, None)
-            self._released.discard(session_id)
             self._managers.pop(session_id, None)
             self._last_manifest.pop(session_id, None)
             self._sidecar_dirs.discard(session_id)

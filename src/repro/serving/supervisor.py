@@ -30,17 +30,13 @@ consistent hashing on the session id:
   :class:`~repro.exceptions.ServiceUnavailableError`) instead of
   fork-bombing the host.
 
-The fleet is **elastic**: :meth:`ShardSupervisor.resize` grows or
-shrinks the shard count live (``POST /admin/resize``), migrating only
-the ~K/n sessions whose ring ownership changes — drained, renamed
-atomically between spill subtrees, and adopted by their new worker
-while requests for them park against their deadlines
-(:mod:`repro.serving.rebalance`). The committed/pending ring is
-journalled to ``ring.json`` under the spill root, so a crash at any
-migration step recovers onto one well-defined ownership map. Operators
-also shed load off a hot shard (``POST /admin/rebalance``) by lowering
-its ring weight; a rebalance circuit breaker stops repeatedly failing
-migrations unless the caller forces them.
+The shard count (``ServiceConfig.shards``) is fixed for the life of a
+supervisor. To change it, stop the fleet and start it at the new
+count: before the first worker spawns, the supervisor renames every
+session directory into the subtree its :class:`HashRing` owner uses —
+~K/n of them for a one-shard change. ``os.rename`` is atomic, so a
+crash part-way leaves each directory in exactly one subtree, and the
+next start finishes the moves.
 
 Construct through :func:`make_service`, which picks this runtime when
 ``ServiceConfig.shards > 0``.
@@ -48,7 +44,6 @@ Construct through :func:`make_service`, which picks this runtime when
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import tempfile
@@ -58,16 +53,14 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.exceptions import (
     ConfigurationError,
-    DeadlineExceededError,
     ServiceUnavailableError,
     SessionExistsError,
-    SessionMigratingError,
     SessionNotFoundError,
     WorkerCrashedError,
 )
@@ -78,7 +71,6 @@ from repro.obs import (
     merge_snapshots,
     render_prom_snapshot,
 )
-from repro.persistence import atomic_write_bytes
 from repro.runtime import (
     BreakerState,
     CircuitBreaker,
@@ -86,7 +78,6 @@ from repro.runtime import (
     RetryPolicy,
     coerce_deadline,
 )
-from repro.serving.rebalance import Rebalancer, ShardLoad
 from repro.serving.ring import VNODES, HashRing
 from repro.serving.service import ForecastService, ServiceConfig
 from repro.serving.shard import decode_error, worker_main
@@ -114,22 +105,6 @@ CRASH_COOLDOWN_TICKS = 40
 #: respawns immediately — failover latency is the point of the runtime).
 RESPAWN_BACKOFF_BASE = 0.25
 RESPAWN_BACKOFF_MAX = 5.0
-
-#: Hard cap on how long a request parks waiting for a mid-migration
-#: session handoff, independent of its own (possibly unbounded)
-#: deadline. A migration takes milliseconds; ten seconds means the
-#: rebalancer wedged, and the request should fail retryably.
-PARK_WAIT_CAP = 10.0
-
-#: Consecutive failed rebalances tripping the rebalance breaker (resizes
-#: are refused while it is open unless the caller forces them).
-REBALANCE_BREAKER_THRESHOLD = 3
-
-#: Hot-shard rebalancing never drops a shard's ring weight below this.
-MIN_SHARD_WEIGHT = 0.25
-
-#: Name of the ring journal inside the spill root.
-RING_JOURNAL = "ring.json"
 
 
 def _mp_context():
@@ -197,25 +172,11 @@ class ShardSupervisor:
             spill_root = tempfile.mkdtemp(prefix="repro-shards-")
             _LOG.info("no spill_dir configured; using %s", spill_root)
         self.spill_root = spill_root
-        # Elastic-runtime state: the live (committed) ring, the pending
-        # ring during a transition, per-session routing overrides, and
-        # the park events requests wait on while their session migrates.
-        self._route_lock = threading.Lock()
-        self._ring_next: Optional[HashRing] = None
-        self._overrides: Dict[str, int] = {}
-        self._migrating: Dict[str, threading.Event] = {}
-        self._resize_lock = threading.Lock()
-        self._rebalance_breaker = CircuitBreaker(
-            failure_threshold=REBALANCE_BREAKER_THRESHOLD,
-            cooldown_steps=CRASH_COOLDOWN_TICKS,
-        )
-        self.resizes = 0
         self.respawn_backoffs = 0
-        # The ring journal (and the spill tree it describes) outranks
-        # the configured shard count: placement must match where the
-        # session directories actually are.
-        self.ring = self._recover_ring()
-        self.rebalancer = Rebalancer(self)
+        # The configured count always wins: the spill tree is healed to
+        # match it before any worker can open a session directory.
+        self.ring = HashRing(self.n_shards)
+        self._reconcile_spill_tree(self.ring)
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
@@ -246,81 +207,31 @@ class ShardSupervisor:
             daemon=True,
         )
         self._monitor.start()
-        self._ring_gauges()
+        if OBS.enabled:
+            OBS.registry.gauge("repro_serving_shards").set(
+                float(self.n_shards)
+            )
         _LOG.info(
-            "shard supervisor up: %d worker(s) (ring v%d), spill root %s",
-            self.n_shards, self.ring.version, spill_root,
+            "shard supervisor up: %d worker(s), spill root %s",
+            self.n_shards, spill_root,
         )
 
     # ------------------------------------------------------------------
-    # Ring journal: crash-safe persistence and startup reconciliation
+    # Spill tree: startup reconciliation
     # ------------------------------------------------------------------
     def shard_spill_dir(self, index: int) -> str:
         """Spill subtree of one shard (directory location == ownership)."""
         return os.path.join(self.spill_root, f"shard-{index:02d}")
 
-    def _persist_ring(
-        self, committed: HashRing, pending: Optional[HashRing] = None
-    ) -> None:
-        """Journal the ring state (atomic + fsynced).
-
-        During a transition the journal holds both rings; recovery
-        adopts the *pending* one — every migration renames toward it,
-        so finishing the move forward is always safe, while rolling
-        back could orphan already-renamed sessions.
-        """
-        payload: Dict[str, Any] = {"committed": committed.to_dict()}
-        if pending is not None:
-            payload["pending"] = pending.to_dict()
-        atomic_write_bytes(
-            Path(self.spill_root) / RING_JOURNAL,
-            json.dumps(payload, sort_keys=True).encode("utf-8"),
-        )
-
-    def _recover_ring(self) -> HashRing:
-        """Load the journalled ring and heal the spill tree to match it.
-
-        Runs before any worker spawns, so renaming session directories
-        is race-free. A crash at any point mid-migration leaves each
-        session directory in exactly one shard subtree (``os.rename``
-        is atomic); reconciliation moves every directory to the shard
-        the recovered ring says owns it, restoring the invariant that
-        routing and durable state agree.
-        """
-        path = Path(self.spill_root) / RING_JOURNAL
-        ring: Optional[HashRing] = None
-        if path.exists():
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                pending = payload.get("pending")
-                target = pending or payload.get("committed")
-                if target:
-                    ring = HashRing.from_dict(target)
-                    if pending:
-                        _LOG.warning(
-                            "recovering interrupted resize: adopting "
-                            "pending ring v%d", ring.version,
-                        )
-            except (OSError, ValueError, KeyError, TypeError) as err:
-                _LOG.error(
-                    "unreadable ring journal %s (%s); starting from the "
-                    "configured shard count", path, err,
-                )
-        if ring is None:
-            ring = HashRing(self.n_shards)
-        elif ring.n_shards != self.n_shards:
-            _LOG.warning(
-                "ring journal says %d shard(s), config says %d; the "
-                "journal wins (placement must match the spill tree)",
-                ring.n_shards, self.n_shards,
-            )
-            self.n_shards = ring.n_shards
-        self._reconcile_spill_tree(ring)
-        self._persist_ring(ring)
-        return ring
-
     def _reconcile_spill_tree(self, ring: HashRing) -> None:
-        """Move every session directory under its ring owner's subtree."""
+        """Move every session directory under its ring owner's subtree.
+
+        Runs before any worker spawns, so renaming is race-free. A
+        restart at a new shard count moves the ~K/n directories whose
+        owner changed; a crash part-way leaves each directory in
+        exactly one subtree (``os.rename`` is atomic), and the next
+        start finishes the job.
+        """
         root = Path(self.spill_root)
         if not root.is_dir():
             return
@@ -342,7 +253,7 @@ class ShardSupervisor:
                     continue
                 dst = Path(self.shard_spill_dir(owner)) / sess.name
                 if dst.exists():
-                    # Cannot happen if the rename protocol held; never
+                    # Renames alone never produce this; never
                     # delete data — park the stray under a name the
                     # session-id pattern rejects so no store adopts it.
                     try:
@@ -360,17 +271,8 @@ class ShardSupervisor:
                 moved += 1
         if moved:
             _LOG.info(
-                "ring recovery moved %d session directorie(s) to their "
-                "ring owners", moved,
-            )
-
-    def _ring_gauges(self) -> None:
-        if OBS.enabled:
-            OBS.registry.gauge("repro_serving_ring_version").set(
-                float(self.ring.version)
-            )
-            OBS.registry.gauge("repro_serving_shards").set(
-                float(self.n_shards)
+                "spill reconciliation moved %d session directorie(s) to "
+                "their ring owners", moved,
             )
 
     # ------------------------------------------------------------------
@@ -524,7 +426,7 @@ class ShardSupervisor:
         """Detect dead and hung workers; restart when the breaker lets us."""
         while not self._shutting_down.wait(MONITOR_INTERVAL):
             now = time.monotonic()
-            for shard in list(self._shards):
+            for shard in self._shards:
                 with shard.lock:
                     alive = shard.alive
                     closing = shard.closing
@@ -536,7 +438,7 @@ class ShardSupervisor:
                     )
                     spawned_at = shard.spawned_at
                 if closing:
-                    continue  # retired by a ring shrink (or shutdown)
+                    continue  # shutting down
                 if not alive:
                     # Down shard: probe the restart breaker each tick so
                     # OPEN cools down and HALF_OPEN eventually retries;
@@ -643,47 +545,6 @@ class ShardSupervisor:
                 return payload["result"]
             raise decode_error(payload)
 
-    def _route_index(
-        self, session_id: str, dl: Deadline, *, creating: bool = False
-    ) -> int:
-        """The shard index a request should go to, right now.
-
-        Honours (in priority order) the per-session park event of an
-        in-flight migration — the request waits, bounded by its own
-        deadline and :data:`PARK_WAIT_CAP`, instead of being dropped —
-        then the per-session routing override (sessions moved ahead of
-        ring commit, or pinned after a failed migration), then the
-        committed ring. Creates arriving mid-transition are placed by
-        the *pending* ring (with an override so they are reachable
-        immediately): they must not land on a shard about to lose that
-        slice of the keyspace.
-        """
-        cap = time.monotonic() + PARK_WAIT_CAP
-        while True:
-            with self._route_lock:
-                event = self._migrating.get(session_id)
-                if event is None:
-                    override = self._overrides.get(session_id)
-                    if override is not None:
-                        return override
-                    if creating and self._ring_next is not None:
-                        index = self._ring_next.shard_for(session_id)
-                        self._overrides[session_id] = index
-                        return index
-                    return self.ring.shard_for(session_id)
-            if dl.expired():
-                raise DeadlineExceededError()
-            now = time.monotonic()
-            if now >= cap:
-                raise ServiceUnavailableError(
-                    f"session {session_id!r} is mid-migration and its "
-                    f"handoff did not complete within {PARK_WAIT_CAP:.0f}s"
-                )
-            timeout = cap - now
-            if not dl.unbounded:
-                timeout = min(timeout, max(0.0, dl.remaining()))
-            event.wait(timeout)
-
     def _request(
         self,
         session_id: str,
@@ -692,7 +553,6 @@ class ShardSupervisor:
         *,
         deadline=None,
         idempotent: bool = True,
-        creating: bool = False,
     ) -> Any:
         if self._shutting_down.is_set():
             raise ServiceUnavailableError(
@@ -701,19 +561,17 @@ class ShardSupervisor:
         validate_session_id(session_id)
         dl = coerce_deadline(deadline, self.config.deadline)
 
+        shard = self._shards[self.ring.shard_for(session_id)]
+
         def attempt():
-            # Re-resolve the route on every attempt: between retries
-            # the session may have finished migrating to another shard
-            # (or its shard may have been replaced by failover).
-            index = self._route_index(session_id, dl, creating=creating)
-            return self._call_shard(self._shards[index], op, args, dl)
+            return self._call_shard(shard, op, args, dl)
 
         def run():
             if not idempotent:
                 return attempt()
             return self.retry_policy.call(
                 attempt,
-                retry_on=(WorkerCrashedError, SessionMigratingError),
+                retry_on=(WorkerCrashedError,),
                 deadline=dl,
                 rng=self._rng,
                 on_retry=lambda n, err: _LOG.warning(
@@ -754,13 +612,12 @@ class ShardSupervisor:
                     "session_kwargs": session_kwargs,
                 },
                 idempotent=False,  # retried here, with conflict handling
-                creating=True,
             )
 
         try:
             return self.retry_policy.call(
                 run,
-                retry_on=(WorkerCrashedError, SessionMigratingError),
+                retry_on=(WorkerCrashedError,),
                 deadline=coerce_deadline(None, self.config.deadline),
                 rng=self._rng,
             )
@@ -817,371 +674,20 @@ class ShardSupervisor:
         try:
             self.retry_policy.call(
                 run,
-                retry_on=(WorkerCrashedError, SessionMigratingError),
+                retry_on=(WorkerCrashedError,),
                 rng=self._rng,
             )
         except SessionNotFoundError:
             if attempts["n"] > 1:
-                with self._route_lock:
-                    self._overrides.pop(session_id, None)
                 return  # first attempt deleted it before the crash
             raise
-        with self._route_lock:
-            # A closed session needs no pin/override any more.
-            self._overrides.pop(session_id, None)
-
-    # ------------------------------------------------------------------
-    # Elastic runtime: migration primitives (driven by the Rebalancer)
-    # ------------------------------------------------------------------
-    def known_session_ids(self) -> List[str]:
-        """Every session the fleet answers for, from both sources.
-
-        Workers report what they hold (covers created-but-never-synced
-        sessions with no directory yet); the spill-tree scan covers
-        shards that are down or crash-looping. Union, so a dead worker
-        cannot hide sessions from a resize plan.
-        """
-        ids = set()
-        for shard in list(self._shards):
-            sub = Path(shard.spill_dir)
-            if sub.is_dir():
-                for child in sub.iterdir():
-                    if child.is_dir() and SESSION_ID_PATTERN.match(
-                        child.name
-                    ):
-                        ids.add(child.name)
-            with shard.lock:
-                alive = shard.alive
-            if alive:
-                try:
-                    ids.update(self._call_shard(
-                        shard, "sessions", {}, Deadline.from_budget(2.0)
-                    ))
-                except Exception:  # noqa: BLE001 - scan covers dead ones
-                    pass
-        return sorted(ids)
-
-    def pinned_overrides(self) -> Dict[str, int]:
-        """Sessions routed off-ring (pinned after a failed migration)."""
-        with self._route_lock:
-            return dict(self._overrides)
-
-    def park_session(self, session_id: str) -> None:
-        """Start double-routing: new requests wait for the handoff."""
-        with self._route_lock:
-            self._migrating.setdefault(session_id, threading.Event())
-
-    def unpark_session(
-        self, session_id: str, owner: Optional[int]
-    ) -> None:
-        """End double-routing; ``owner`` pins the session's route (or
-        clears it when the session turned out not to exist at all)."""
-        with self._route_lock:
-            event = self._migrating.pop(session_id, None)
-            if owner is None:
-                self._overrides.pop(session_id, None)
-            else:
-                self._overrides[session_id] = owner
-        if event is not None:
-            event.set()
-
-    def release_on_shard(
-        self, index: int, session_id: str, *, timeout: float = 5.0
-    ) -> Dict[str, Any]:
-        """Quiesce + final durable checkpoint on the old owner.
-
-        Retried across worker crashes: the store's release is
-        idempotent, and a replacement worker (which re-adopted the
-        spill subtree on spawn) answers the retry correctly.
-        """
-        shard = self._shards[index]
-        dl = Deadline.from_budget(timeout + 15.0)
-        return self.retry_policy.call(
-            lambda: self._call_shard(
-                shard, "release",
-                {"session_id": session_id, "timeout": timeout}, dl,
-            ),
-            retry_on=(WorkerCrashedError,),
-            deadline=dl,
-            rng=self._rng,
-        )
-
-    def adopt_on_shard(self, index: int, session_id: str) -> bool:
-        """Register the renamed spill directory with its new owner."""
-        shard = self._shards[index]
-        dl = Deadline.from_budget(15.0)
-        return bool(self.retry_policy.call(
-            lambda: self._call_shard(
-                shard, "adopt", {"session_id": session_id}, dl,
-            ),
-            retry_on=(WorkerCrashedError,),
-            deadline=dl,
-            rng=self._rng,
-        ))
-
-    def begin_transition(self, new_ring: HashRing) -> None:
-        """Journal the pending ring; creates start routing by it."""
-        with self._route_lock:
-            self._ring_next = new_ring
-        self._persist_ring(self.ring, pending=new_ring)
-
-    def commit_transition(
-        self, new_ring: HashRing, pinned: List[Any]
-    ) -> None:
-        """Swap in the new ring and drop overrides it agrees with.
-
-        Overrides that still disagree (failed migrations) stay pinned —
-        the session keeps serving from wherever its directory is, and
-        the next resize replans it. Shards the new ring dropped are
-        retired, unless a pinned session still lives there (then the
-        worker keeps draining).
-        """
-        with self._route_lock:
-            self.ring = new_ring
-            self._ring_next = None
-            self.n_shards = new_ring.n_shards
-            for sid in [
-                sid for sid, index in self._overrides.items()
-                if index == new_ring.shard_for(sid)
-            ]:
-                del self._overrides[sid]
-        self._persist_ring(new_ring)
-        self._ring_gauges()
-        if pinned:
-            _LOG.warning(
-                "ring v%d committed with %d session(s) pinned off-ring "
-                "after failed migrations", new_ring.version, len(pinned),
-            )
-        self._retire_excess_shards()
-
-    def _retire_excess_shards(self) -> None:
-        with self._route_lock:
-            pinned_shards = set(self._overrides.values())
-        for shard in list(self._shards)[self.n_shards:]:
-            if shard.index in pinned_shards:
-                _LOG.warning(
-                    "shard %d left the ring but session(s) are pinned "
-                    "to it; leaving its worker draining", shard.index,
-                )
-                continue
-            self._stop_shard(shard)
-
-    def _stop_shard(self, shard: _Shard) -> None:
-        """Drain and reap one worker (ring shrink retirement)."""
-        with shard.lock:
-            if shard.closing and not shard.alive:
-                return  # already retired
-            shard.closing = True
-            alive = shard.alive
-            conn = shard.conn
-        if alive and conn is not None:
-            try:
-                conn.send({"id": self._next_id(), "op": "__shutdown__"})
-            except (OSError, BrokenPipeError):
-                pass
-        process = shard.process
-        if process is not None:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=2.0)
-        with shard.lock:
-            shard.alive = False
-            if shard.conn is not None:
-                try:
-                    shard.conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-        _LOG.info("shard %d retired (ring shrink)", shard.index)
-
-    def _ensure_shards(self, n: int) -> None:
-        """Spawn (or revive retired) workers for shard slots < ``n``."""
-        while len(self._shards) < n:
-            index = len(self._shards)
-            self._shards.append(
-                _Shard(index, self.shard_spill_dir(index))
-            )
-        for shard in list(self._shards)[:n]:
-            with shard.lock:
-                shard.closing = False
-                if not shard.alive and not self._shutting_down.is_set():
-                    shard.crashes_in_row = 0
-                    shard.next_respawn_at = 0.0
-                    self._spawn_locked(shard)
-
-    # ------------------------------------------------------------------
-    # Elastic runtime: operator entry points
-    # ------------------------------------------------------------------
-    def _count_resize(self, kind: str) -> None:
-        self.resizes += 1
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_serving_resizes_total", {"kind": kind}
-            ).inc()
-
-    def _check_rebalance_allowed(self, force: bool) -> None:
-        if self._shutting_down.is_set():
-            raise ServiceUnavailableError(
-                "shard supervisor is shutting down; refusing resize"
-            )
-        if not force and not self._rebalance_breaker.allow():
-            raise ServiceUnavailableError(
-                "rebalance circuit breaker is open after repeated "
-                "failed migrations; retry later or force"
-            )
-
-    def _finish_rebalance(self, kind: str, report) -> None:
-        self._count_resize(kind)
-        if report.ok:
-            self._rebalance_breaker.record_success()
-        else:
-            self._rebalance_breaker.record_failure()
-
-    def resize(
-        self, n_shards: int, *, force: bool = False,
-        reason: str = "operator",
-    ) -> Dict[str, Any]:
-        """Grow or shrink the fleet to ``n_shards``, migrating live.
-
-        One resize/rebalance runs at a time; a second caller gets a
-        retryable :class:`ServiceUnavailableError` instead of queueing
-        behind a potentially long migration.
-        """
-        n = int(n_shards)
-        if n < 1:
-            raise ConfigurationError(
-                f"cannot resize to {n} shard(s); need >= 1"
-            )
-        if not self._resize_lock.acquire(blocking=False):
-            raise ServiceUnavailableError(
-                "another resize/rebalance is already in progress"
-            )
-        try:
-            self._check_rebalance_allowed(force)
-            old = self.ring
-            if n == old.n_shards and not force:
-                return {"changed": False, "ring": old.describe()}
-            kind = (
-                "grow" if n > old.n_shards
-                else "shrink" if n < old.n_shards else "rebalance"
-            )
-            new_ring = old.resized(n)
-            if n > old.n_shards:
-                # New workers must be serving before any session is
-                # renamed into their subtrees.
-                self._ensure_shards(n)
-            report = self.rebalancer.execute(new_ring, f"{reason}:{kind}")
-            self._finish_rebalance(kind, report)
-            return {
-                "changed": True,
-                "kind": kind,
-                "ring": self.ring.describe(),
-                "report": report.to_dict(),
-            }
-        finally:
-            self._resize_lock.release()
-
-    def rebalance_shard(
-        self, shard: Optional[int] = None, *, factor: float = 0.5,
-        force: bool = False, reason: str = "operator",
-    ) -> Dict[str, Any]:
-        """Shed load off a hot shard by lowering its ring weight.
-
-        Lowering a weight removes only that shard's highest-index
-        vnodes, so the only sessions that move are sessions moving
-        *off* the hot shard. ``shard=None`` picks the heaviest live
-        shard by current load score.
-        """
-        if not 0.0 < factor < 1.0:
-            raise ConfigurationError(
-                f"rebalance factor must be in (0, 1), got {factor}"
-            )
-        if not self._resize_lock.acquire(blocking=False):
-            raise ServiceUnavailableError(
-                "another resize/rebalance is already in progress"
-            )
-        try:
-            self._check_rebalance_allowed(force)
-            if shard is None:
-                alive = [
-                    load for load in self._gather_loads() if load.alive
-                ]
-                if not alive:
-                    raise ServiceUnavailableError(
-                        "no live shard to rebalance"
-                    )
-                shard = max(alive, key=lambda load: load.score()).shard
-            index = int(shard)
-            if not 0 <= index < self.ring.n_shards:
-                raise ConfigurationError(
-                    f"shard {index} outside ring of {self.ring.n_shards}"
-                )
-            weight = self.ring.weights[index]
-            new_weight = max(MIN_SHARD_WEIGHT, weight * factor)
-            if new_weight >= weight:
-                return {
-                    "changed": False,
-                    "reason": f"shard {index} weight already at floor",
-                    "ring": self.ring.describe(),
-                }
-            new_ring = self.ring.reweighted(index, new_weight)
-            report = self.rebalancer.execute(
-                new_ring, f"{reason}:hot-shard-{index}"
-            )
-            self._finish_rebalance("rebalance", report)
-            return {
-                "changed": True,
-                "kind": "rebalance",
-                "shard": index,
-                "weight": new_weight,
-                "ring": self.ring.describe(),
-                "report": report.to_dict(),
-            }
-        finally:
-            self._resize_lock.release()
-
-    def ring_info(self) -> Dict[str, Any]:
-        """Operator view of the ring (``GET /admin/ring``)."""
-        with self._route_lock:
-            info = self.ring.describe()
-            info["transition"] = (
-                self._ring_next.describe()
-                if self._ring_next is not None else None
-            )
-            info["overrides"] = dict(self._overrides)
-            info["migrating"] = sorted(self._migrating)
-        info["draining"] = [
-            shard.index for shard in list(self._shards)[self.n_shards:]
-            if shard.alive
-        ]
-        info["resizes"] = self.resizes
-        return info
-
-    def _gather_loads(self) -> List[ShardLoad]:
-        """One load sample per ring shard (hot-shard selection)."""
-        loads = []
-        for shard in list(self._shards)[: self.n_shards]:
-            with shard.lock:
-                alive = shard.alive
-            load = ShardLoad(shard=shard.index, alive=alive)
-            if alive:
-                try:
-                    payload = self._call_shard(
-                        shard, "load", {}, Deadline.from_budget(1.0)
-                    )
-                    load.queue_depth = int(payload.get("queue_depth", 0))
-                    load.sessions = int(payload.get("sessions", 0))
-                except Exception:  # noqa: BLE001 - sample best-effort
-                    load.alive = False
-            loads.append(load)
-        return loads
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
         shards = []
         up = 0
         now = time.monotonic()
-        for shard in list(self._shards):
+        for shard in self._shards:
             with shard.lock:
                 alive = shard.alive
                 closing = shard.closing
@@ -1192,13 +698,9 @@ class ShardSupervisor:
                     shard.heartbeat.value
                     if shard.heartbeat is not None else None
                 )
-            in_ring = shard.index < self.n_shards
-            if not in_ring and not alive:
-                continue  # retired by a ring shrink
             if alive:
-                if in_ring:
-                    up += 1
-                state = "alive" if in_ring else "draining"
+                up += 1
+                state = "alive"
             elif closing:
                 state = "stopping"
             elif breaker_state is BreakerState.OPEN:
@@ -1233,19 +735,17 @@ class ShardSupervisor:
             "shards": shards,
             "shards_up": up,
             "shards_total": self.n_shards,
-            "ring_version": self.ring.version,
             "restarts": self.restarts,
-            "resizes": self.resizes,
             "shutting_down": self._shutting_down.is_set(),
             "uptime_seconds": round(time.time() - self._started_at, 3),
         }
 
     def stats(self) -> Dict[str, Any]:
         per_shard = {}
-        for shard in list(self._shards):
+        for shard in self._shards:
             with shard.lock:
                 if shard.closing and not shard.alive:
-                    continue  # retired by a ring shrink
+                    continue  # drained by shutdown
             try:
                 per_shard[str(shard.index)] = self._call_shard(
                     shard, "stats", {}, Deadline.from_budget(1.0)
@@ -1265,9 +765,7 @@ class ShardSupervisor:
             "shards": per_shard,
             "tenants": tenants,
             "restarts": self.restarts,
-            "resizes": self.resizes,
             "n_shards": self.n_shards,
-            "ring": self.ring.describe(),
             "uptime_seconds": round(time.time() - self._started_at, 3),
         }
 
@@ -1278,10 +776,10 @@ class ShardSupervisor:
         nothing rather than failing the scrape.
         """
         snapshots = [OBS.registry.snapshot()]
-        for shard in list(self._shards):
+        for shard in self._shards:
             with shard.lock:
                 if shard.closing and not shard.alive:
-                    continue  # retired by a ring shrink
+                    continue  # drained by shutdown
             try:
                 snapshot = self._call_shard(
                     shard, "metrics", {}, Deadline.from_budget(1.0)
@@ -1304,7 +802,7 @@ class ShardSupervisor:
         if already:
             return {"shards": 0, "repeat": True}
         drained = 0
-        for shard in list(self._shards):
+        for shard in self._shards:
             with shard.lock:
                 shard.closing = True
                 alive = shard.alive
@@ -1318,7 +816,7 @@ class ShardSupervisor:
                 except (OSError, BrokenPipeError):
                     pass
         deadline = time.monotonic() + 10.0
-        for shard in list(self._shards):
+        for shard in self._shards:
             process = shard.process
             if process is None:
                 continue

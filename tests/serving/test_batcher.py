@@ -160,3 +160,40 @@ class TestClose:
         batcher = MicroBatcher()
         batcher.close()
         batcher.close()
+
+
+class TestRetryAfter:
+    def test_hint_defaults_before_any_drain_history(self):
+        batcher = MicroBatcher(queue_limit=4)
+        try:
+            assert batcher.drain_rate == 0.0
+            assert batcher.retry_after_hint() == pytest.approx(0.05)
+        finally:
+            batcher.close()
+
+    def test_shed_error_carries_drain_rate_hint(self):
+        batcher = MicroBatcher(max_batch=1, max_wait=0.0, queue_limit=1)
+        release = threading.Event()
+        try:
+            blocker = batcher.submit(release.wait)
+            time.sleep(0.1)  # collector now parked on the event
+            batcher.submit(lambda: None)  # fills the queue
+            with pytest.raises(ServiceOverloadedError) as err:
+                batcher.submit(lambda: None)
+            assert 0.05 <= err.value.retry_after <= 5.0
+            release.set()
+            assert blocker.result(timeout=5) is True
+        finally:
+            release.set()
+            batcher.close()
+
+    def test_drain_rate_ewma_tracks_throughput(self):
+        batcher = MicroBatcher(max_batch=8, max_wait=0.0, queue_limit=64)
+        try:
+            futures = [batcher.submit(lambda: 1) for _ in range(32)]
+            for future in futures:
+                assert future.result(timeout=5) == 1
+            assert batcher.drain_rate > 0.0
+            assert batcher.retry_after_hint() <= 5.0
+        finally:
+            batcher.close()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -140,6 +142,44 @@ class TestErrorMapping:
         assert _status_for(SessionCorruptError("sx")) == 503
         assert _status_for(WorkerCrashedError(1)) == 503
         assert _status_for(RuntimeError("bug")) == 500
+
+    def test_http_429_carries_retry_after_header(
+        self, bundle, series, tmp_path
+    ):
+        service = ForecastService(
+            bundle,
+            ServiceConfig(
+                max_sessions=8,
+                spill_dir=str(tmp_path),
+                queue_limit=1,
+                batch_size=1,
+                batch_wait=0.0,
+                deadline=5.0,
+            ),
+        )
+        srv = ForecastHTTPServer(service, port=0).start()
+        release = threading.Event()
+        try:
+            _json(srv, "POST", "/v1/sessions", {
+                "session": "shed", "history": series[:180].tolist(),
+            })
+            blocker = service.batcher.submit(release.wait)
+            time.sleep(0.1)
+            service.batcher.submit(lambda: None)  # queue now full
+            status, raw, headers = _request(
+                srv, "POST", "/v1/sessions/shed/observe", {"y": 1.0}
+            )
+            payload = json.loads(raw)
+            assert status == 429
+            assert payload["error"] == "ServiceOverloadedError"
+            assert "Retry-After" in headers
+            assert 0.05 <= float(headers["Retry-After"]) <= 5.0
+            assert payload["retry_after"] == float(headers["Retry-After"])
+            release.set()
+            assert blocker.result(timeout=5) is True
+        finally:
+            release.set()
+            srv.shutdown()
 
 
 class TestDeadlineAndSeq:

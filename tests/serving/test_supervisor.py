@@ -1,7 +1,8 @@
-"""ShardSupervisor: hashing, RPC parity, SIGKILL failover, shutdown."""
+"""ShardSupervisor: RPC parity, SIGKILL failover, restarts, shutdown."""
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import time
@@ -10,66 +11,53 @@ import numpy as np
 import pytest
 
 from repro.exceptions import (
+    ConfigurationError,
     DataValidationError,
     DeadlineExceededError,
     ServiceOverloadedError,
     ServiceUnavailableError,
+    ServingError,
+    SessionCorruptError,
     SessionExistsError,
     SessionNotFoundError,
     WorkerCrashedError,
 )
 from repro.serving import (
+    ForecastService,
     HashRing,
     ServiceConfig,
     ShardSupervisor,
     make_service,
 )
-from repro.serving.shard import decode_error, encode_error
+from repro.serving.shard import _DECODERS, decode_error, encode_error
 from tests.serving.conftest import batch_subtree_names
 
 
-class TestHashRing:
-    def test_deterministic_and_in_range(self):
-        ring = HashRing(4)
-        ids = [f"tenant-{i}" for i in range(200)]
-        first = [ring.shard_for(sid) for sid in ids]
-        again = [ring.shard_for(sid) for sid in ids]
-        assert first == again
-        assert set(first) <= set(range(4))
-
-    def test_same_count_same_placement_across_instances(self):
-        # Placement must survive a supervisor restart: a fresh ring with
-        # the same shard count routes every session identically.
-        a, b = HashRing(4), HashRing(4)
-        for i in range(200):
-            sid = f"session-{i}"
-            assert a.shard_for(sid) == b.shard_for(sid)
-
-    def test_reasonable_balance(self):
-        ring = HashRing(4)
-        counts = np.bincount(
-            [ring.shard_for(f"s{i}") for i in range(2000)], minlength=4
-        )
-        assert counts.min() > 0
-        assert counts.max() / counts.min() < 3.0
+#: One instance of every type the worker-to-supervisor transport knows.
+TRANSPORT_CASES = [
+    SessionNotFoundError("sx"),
+    SessionExistsError("sx"),
+    ServiceOverloadedError(9, 10),
+    DeadlineExceededError(1.5),
+    ServiceUnavailableError("shutting down"),
+    DataValidationError("bad y"),
+    WorkerCrashedError(3, "killed"),
+    SessionCorruptError("sx"),
+    ConfigurationError("bad knob"),
+    ServingError("unknown op"),
+]
 
 
 class TestErrorTransport:
-    @pytest.mark.parametrize(
-        "error",
-        [
-            SessionNotFoundError("sx"),
-            SessionExistsError("sx"),
-            ServiceOverloadedError(9, 10),
-            DeadlineExceededError(1.5),
-            ServiceUnavailableError("draining"),
-            DataValidationError("bad y"),
-            WorkerCrashedError(3, "killed"),
-        ],
-    )
+    @pytest.mark.parametrize("error", TRANSPORT_CASES)
     def test_roundtrip_preserves_type(self, error):
         decoded = decode_error(encode_error(error))
         assert type(decoded) is type(error)
+
+    def test_cases_cover_every_decoder(self):
+        # A type added to (or removed from) the transport must show up
+        # here, so no decoder goes untested and none lingers unused.
+        assert {type(e).__name__ for e in TRANSPORT_CASES} == set(_DECODERS)
 
     def test_overload_attributes_survive(self):
         decoded = decode_error(encode_error(ServiceOverloadedError(9, 10)))
@@ -346,3 +334,181 @@ class TestDistributedTracing:
         assert {"pool.eval", "actor.forward"} <= batch_subtree_names(
             assembler, trace
         )
+
+
+def _instant_death_worker(shard_index, conn, heartbeat, bundle, config):
+    conn.close()
+    os._exit(1)
+
+
+class TestRespawnBackoff:
+    def test_crash_loop_backs_off_instead_of_spinning(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        # Fork start method: the child runs the patched target directly.
+        monkeypatch.setattr(
+            "repro.serving.supervisor.worker_main", _instant_death_worker
+        )
+        sup = ShardSupervisor(
+            bundle,
+            ServiceConfig(
+                shards=1, spill_dir=str(tmp_path)
+            ),
+        )
+        try:
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                if sup.respawn_backoffs >= 2:
+                    break
+                time.sleep(0.1)
+            shard = sup._shards[0]
+            # Exponential backoff engaged...
+            assert sup.respawn_backoffs >= 2
+            assert shard.crashes_in_row >= 2
+            # ...and bounded the respawn churn: without it a worker that
+            # dies in ~50ms would burn through dozens of generations.
+            assert shard.generation <= 8
+        finally:
+            sup.shutdown()
+
+
+def _owning_subtrees(spill_root, session_id):
+    """Shard subtrees currently holding this session's directory."""
+    return sorted(
+        shard_dir.name
+        for shard_dir in spill_root.glob("shard-*")
+        if (shard_dir / session_id).is_dir()
+    )
+
+
+def _start(bundle, spill_root, shards):
+    return ShardSupervisor(
+        bundle,
+        ServiceConfig(
+            shards=shards,
+            spill_dir=str(spill_root),
+            deadline=15.0,
+            max_sessions=32,
+        ),
+    )
+
+
+class TestRestartAtNewShardCount:
+    """The shard count is fixed per supervisor; a restart changes it."""
+
+    def test_restart_sequence_keeps_every_session(
+        self, bundle, series, tmp_path
+    ):
+        root = tmp_path / "fleet"
+        twin = ForecastService(
+            bundle,
+            ServiceConfig(max_sessions=32, spill_dir=str(tmp_path / "twin")),
+        )
+        sids = [f"tenant-{i:02d}" for i in range(8)]
+        # Both restarts must move directories for the test to bite.
+        for a, b in ((2, 4), (4, 3)):
+            assert any(
+                HashRing(a).shard_for(s) != HashRing(b).shard_for(s)
+                for s in sids
+            )
+        acked = dict.fromkeys(sids, 0)
+        cursor = 180
+        try:
+            for shards in (2, 4, 3):
+                sup = _start(bundle, root, shards)
+                try:
+                    assert sup.health()["shards_total"] == shards
+                    ring = HashRing(shards)
+                    if shards == 2:
+                        for sid in sids:
+                            sup.create_session(sid, series[:180])
+                            twin.create_session(sid, series[:180])
+                    else:
+                        # Reconciliation ran before the first spawn:
+                        # each session sits in exactly one subtree, the
+                        # one the new ring routes it to.
+                        for sid in sids:
+                            assert _owning_subtrees(root, sid) == [
+                                f"shard-{ring.shard_for(sid):02d}"
+                            ]
+                    for _ in range(3):
+                        value = float(series[cursor])
+                        for sid in sids:
+                            acked[sid] += 1
+                            out = sup.observe(sid, value, seq=acked[sid])
+                            assert out["forecast"] == twin.observe(
+                                sid, value
+                            )["forecast"]
+                        cursor += 1
+                    for sid in sids:
+                        assert sup.session_info(sid)["step"] == acked[sid]
+                finally:
+                    sup.shutdown()
+        finally:
+            twin.shutdown()
+
+    def test_interrupted_reconciliation_finishes_on_next_start(
+        self, bundle, series, tmp_path
+    ):
+        root = tmp_path / "fleet"
+        sids = [f"tenant-{i:02d}" for i in range(8)]
+        sup = _start(bundle, root, 2)
+        try:
+            for sid in sids:
+                sup.create_session(sid, series[:180])
+                for seq in (1, 2):
+                    sup.observe(sid, float(series[179 + seq]), seq=seq)
+        finally:
+            sup.shutdown()
+
+        # A start at 3 shards that crashed after one rename: one
+        # directory already sits with its new owner, the rest do not.
+        old, new = HashRing(2), HashRing(3)
+        movers = [s for s in sids if old.shard_for(s) != new.shard_for(s)]
+        assert len(movers) >= 2
+        first = movers[0]
+        dst = root / f"shard-{new.shard_for(first):02d}"
+        dst.mkdir(exist_ok=True)
+        os.rename(root / f"shard-{old.shard_for(first):02d}" / first,
+                  dst / first)
+
+        sup = _start(bundle, root, 3)
+        try:
+            for sid in sids:
+                assert _owning_subtrees(root, sid) == [
+                    f"shard-{new.shard_for(sid):02d}"
+                ]
+                assert sup.session_info(sid)["step"] == 2
+                out = sup.observe(sid, float(series[182]), seq=3)
+                assert out["step"] == 3
+        finally:
+            sup.shutdown()
+
+    def test_stale_ring_journal_does_not_override_config(
+        self, bundle, series, tmp_path
+    ):
+        root = tmp_path / "fleet"
+        root.mkdir()
+        journal = root / "ring.json"
+        journal.write_text(json.dumps({
+            "committed": {
+                "n_shards": 5, "vnodes": 256, "version": 3,
+                "weights": [1.0] * 5,
+            },
+        }))
+        before = journal.read_text()
+        sup = _start(bundle, root, 2)
+        try:
+            assert sup.health()["shards_total"] == 2
+            assert len(sup._shards) == 2
+            sup.create_session("after", series[:180])
+            assert sup.observe("after", float(series[180]), seq=1)[
+                "step"
+            ] == 1
+        finally:
+            sup.shutdown()
+        assert _owning_subtrees(root, "after") == [
+            f"shard-{HashRing(2).shard_for('after'):02d}"
+        ]
+        # Ignored, not deleted: an older version's file is left alone.
+        assert journal.read_text() == before
