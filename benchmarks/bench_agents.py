@@ -28,7 +28,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +47,8 @@ from repro.models.ets import SimpleExpSmoothing
 from repro.rl.agents import agent_names
 from repro.rl.ddpg import DDPGConfig
 from repro.serving import ForecastService, ModelBundle, ServiceConfig
+
+import tempdirs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_agents.json"
@@ -121,7 +122,7 @@ def serving_phase(agents, *, quick: bool) -> dict:
         service = ForecastService(bundle, ServiceConfig(
             agent=agent,
             max_sessions=max(2, sessions // 2),
-            spill_dir=tempfile.mkdtemp(prefix=f"bench-agents-{agent}-"),
+            spill_dir=tempdirs.mkdtemp(f"bench-agents-{agent}-"),
         ))
         latencies = []
         bit_identical = True
@@ -233,4 +234,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(tempdirs.run(main))

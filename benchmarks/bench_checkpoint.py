@@ -31,7 +31,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -43,6 +42,8 @@ from repro.evaluation.protocol import prepare_dataset
 from repro.obs import MemorySink, configure, shutdown, OBS
 from repro.rl.ddpg import DDPGConfig
 from repro.runtime.executor import available_workers
+
+import tempdirs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_checkpoint.json"
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
           f"iterations={protocol.max_iterations} every={args.every} "
           f"rounds={args.rounds} cores={available_workers()}")
 
-    workdir = Path(tempfile.mkdtemp(prefix="bench-checkpoint-"))
+    workdir = Path(tempdirs.mkdtemp("bench-checkpoint-"))
     plain_s = ckpt_s = float("inf")
     plain_out = ckpt_out = None
     for index in range(args.rounds):
@@ -200,4 +201,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(tempdirs.run(main))

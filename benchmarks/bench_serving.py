@@ -41,7 +41,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import threading
 import time
 import urllib.request
@@ -64,6 +63,8 @@ from repro.serving import (
     ModelBundle,
     ServiceConfig,
 )
+
+import tempdirs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serving.json"
@@ -173,7 +174,7 @@ def profile_gil_ceiling(
         service = make_service(bundle, ServiceConfig(
             shards=shards,
             max_sessions=max_resident,
-            spill_dir=tempfile.mkdtemp(prefix="bench-serving-gil-"),
+            spill_dir=tempdirs.mkdtemp("bench-serving-gil-"),
             queue_limit=max(512, 4 * sessions),
             deadline=120.0,
             batch_wait=0.002,
@@ -213,7 +214,7 @@ def profile_gil_ceiling(
 def check_spill_bit_identity(bundle, series, *, steps: int) -> dict:
     """Acceptance: evicted-then-restored == always-resident, exactly."""
     resident = bundle.create_session("twin", series[:200])
-    workdir = tempfile.mkdtemp(prefix="bench-serving-spill-")
+    workdir = tempdirs.mkdtemp("bench-serving-spill-")
     service = ForecastService(
         bundle, ServiceConfig(max_sessions=2, spill_dir=workdir)
     )
@@ -260,7 +261,7 @@ def check_batched_bit_identity(
     """
     service = ForecastService(bundle, ServiceConfig(
         max_sessions=sessions + 4,
-        spill_dir=tempfile.mkdtemp(prefix="bench-serving-batched-"),
+        spill_dir=tempdirs.mkdtemp("bench-serving-batched-"),
         batch_wait=0.01,
         batch_size=sessions,
         queue_limit=max(64, 4 * sessions),
@@ -354,11 +355,11 @@ def check_trace_coverage(
     from repro.obs import assemble_trace_dir, iter_trace_records
     from repro.serving import make_service
 
-    trace_dir = tempfile.mkdtemp(prefix="bench-serving-traces-")
+    trace_dir = tempdirs.mkdtemp("bench-serving-traces-")
     service = make_service(bundle, ServiceConfig(
         shards=shards,
         max_sessions=max(16, sessions),
-        spill_dir=tempfile.mkdtemp(prefix="bench-serving-shards-"),
+        spill_dir=tempdirs.mkdtemp("bench-serving-shards-"),
         queue_limit=max(256, 4 * sessions),
         deadline=30.0,
         batch_wait=0.002,
@@ -472,7 +473,7 @@ def http_smoke(bundle, series) -> dict:
         bundle,
         ServiceConfig(
             max_sessions=8,
-            spill_dir=tempfile.mkdtemp(prefix="bench-serving-http-"),
+            spill_dir=tempdirs.mkdtemp("bench-serving-http-"),
         ),
     )
     server = ForecastHTTPServer(service, port=0).start()
@@ -550,7 +551,7 @@ def main(argv=None) -> int:
 
     service = ForecastService(bundle, ServiceConfig(
         max_sessions=args.max_resident,
-        spill_dir=tempfile.mkdtemp(prefix="bench-serving-load-"),
+        spill_dir=tempdirs.mkdtemp("bench-serving-load-"),
         queue_limit=max(512, 4 * args.sessions),
         deadline=30.0,
         batch_wait=0.002,
@@ -593,7 +594,7 @@ def main(argv=None) -> int:
         profile_sessions, profile_steps = 1000, 3
         profile_service = ForecastService(bundle, ServiceConfig(
             max_sessions=args.max_resident,
-            spill_dir=tempfile.mkdtemp(prefix="bench-serving-1k-"),
+            spill_dir=tempdirs.mkdtemp("bench-serving-1k-"),
             queue_limit=max(512, 4 * profile_sessions),
             deadline=120.0,
             batch_wait=0.002,
@@ -705,4 +706,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(tempdirs.run(main))

@@ -34,7 +34,6 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +44,8 @@ from repro.evaluation.protocol import prepare_dataset
 from repro.rl.ddpg import DDPGConfig
 from repro.runtime.checkpoint import CheckpointManager
 from repro.testing import FailureSchedule, TornWriter
+
+import tempdirs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "CHAOS_crash_resume.json"
@@ -95,7 +96,7 @@ def child_main(dataset: int, workdir: Path, cut: int) -> int:
 
 
 def run_one_crash(run, dataset: int, cut: int, reference) -> dict:
-    workdir = Path(tempfile.mkdtemp(prefix=f"chaos-crash-cut{cut}-"))
+    workdir = Path(tempdirs.mkdtemp(f"chaos-crash-cut{cut}-"))
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -181,4 +182,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(tempdirs.run(main))

@@ -57,7 +57,6 @@ import os
 import platform
 import signal
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -80,6 +79,8 @@ from repro.rl.ddpg import DDPGConfig
 from repro.runtime import CheckpointManager
 from repro.serving import HashRing, ModelBundle, ServiceConfig, ShardSupervisor
 from repro.testing import corrupt_all_snapshots, truncate_file
+
+import tempdirs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "CHAOS_serving.json"
@@ -521,7 +522,7 @@ def checkpoint_audit(spill_root: Path, twins, ring) -> dict:
 
 def restart_reshard(bundle, series, *, sessions: int, steps: int) -> dict:
     """2 shards -> restart at 4 -> crashed restart at 3 -> clean start."""
-    spill_root = Path(tempfile.mkdtemp(prefix="chaos-reshard-"))
+    spill_root = Path(tempdirs.mkdtemp("chaos-reshard-"))
     sids = [f"reshard-{i:04d}" for i in range(sessions)]
     twins = {sid: bundle.create_session(sid, series[:HISTORY]) for sid in sids}
     acks = {sid: [] for sid in sids}
@@ -642,7 +643,7 @@ def main(argv=None) -> int:
     bundle, series = make_bundle()
     print(f"model fitted in {time.perf_counter() - t0:.2f}s")
 
-    spill_root = tempfile.mkdtemp(prefix="chaos-serving-")
+    spill_root = tempdirs.mkdtemp("chaos-serving-")
     supervisor = make_supervisor(bundle, spill_root)
     try:
         failover = failover_under_load(
@@ -731,4 +732,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(tempdirs.run(main))

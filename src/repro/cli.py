@@ -83,8 +83,9 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write final metrics in Prometheus text "
                              "exposition format to PATH")
     parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="stream structured run events and span trees "
-                             "as JSON lines to PATH")
+                        help="stream structured run events and span "
+                             "records as JSON lines to PATH (read the "
+                             "spans back with 'repro trace PATH')")
     parser.add_argument("--log-level", default=None,
                         choices=("debug", "info", "warning", "error"),
                         help="explicit log level (overrides -v/-q)")

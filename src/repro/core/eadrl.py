@@ -446,11 +446,10 @@ class EADRL:
                     )
                     outputs[i] = self._scaler.inverse_transform(scaled_out)
                     state = np.append(state[1:], scaled_out)
-                node = step_span.node
-                if node is not None:
+                if OBS.enabled:
                     self._record_step(
                         "matrix", i, float(outputs[i]), weight_log[i],
-                        node.duration,
+                        step_span.duration,
                     )
                 if checkpointer is not None:
                     checkpointer.after_step(
@@ -533,11 +532,10 @@ class EADRL:
                     )
                     outputs[i] = self._scaler.inverse_transform(scaled_out)
                     state = np.append(state[1:], scaled_out)
-                node = step_span.node
-                if node is not None:
+                if OBS.enabled:
                     self._record_step(
                         "rolling", i, float(outputs[i]), weight_log[i],
-                        node.duration,
+                        step_span.duration,
                     )
                 if checkpointer is not None:
                     checkpointer.after_step(
@@ -594,10 +592,9 @@ class EADRL:
                     out[j] = value
                     working = np.append(working, value)
                     state = np.append(state[1:], scaled_out)
-                node = step_span.node
-                if node is not None:
+                if OBS.enabled:
                     self._record_step(
-                        "multistep", j, value, effective, node.duration
+                        "multistep", j, value, effective, step_span.duration
                     )
                 if checkpointer is not None:
                     checkpointer.after_step(
@@ -725,11 +722,10 @@ class EADRL:
                     outputs[i] = session.forecast_step(predictions[i])
                     weight_log[i] = session.last_weights
                     session.feedback(truth[i])
-                node = step_span.node
-                if node is not None:
+                if OBS.enabled:
                     self._record_step(
                         "online", i, float(outputs[i]), weight_log[i],
-                        node.duration, reward=session.last_reward,
+                        step_span.duration, reward=session.last_reward,
                         ensemble_rank=session.last_rank,
                     )
                     registry = OBS.registry

@@ -197,11 +197,20 @@ class WorkerCrashedError(ServingError):
     Internal to the shard runtime: the supervisor retries idempotent
     requests against the restarted shard and maps exhausted retries to
     :class:`ServiceUnavailableError` before anything reaches a client.
+    ``retry_after`` is how long until the shard's scheduled respawn
+    (0 when it is not waiting out a crash-loop backoff); a retry sleeps
+    at least that long.
     """
 
-    def __init__(self, shard: int, detail: str = "worker process died"):
+    def __init__(
+        self,
+        shard: int,
+        detail: str = "worker process died",
+        retry_after: float = 0.0,
+    ):
         super().__init__(f"shard {shard}: {detail}")
         self.shard = shard
+        self.retry_after = float(retry_after)
 
 
 class ConvergenceWarning(UserWarning):

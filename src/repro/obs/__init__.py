@@ -9,19 +9,20 @@ Dependency-free (stdlib + numpy) telemetry for the EA-DRL runtime:
 - :data:`OBS` / :func:`configure` / :func:`session` — the process-global
   telemetry session with a one-attribute-check no-op fast path
   (:mod:`repro.obs.telemetry`);
-- ``OBS.span(name)`` — nested wall-clock timing trees
-  (:mod:`repro.obs.spans`);
-- :data:`TRACER` / :class:`TraceAssembler` — cross-process request
-  tracing for the serving runtime: per-process JSONL span sinks,
-  ``X-Trace-Id`` / RPC-envelope propagation, and offline assembly into
-  per-request timelines (:mod:`repro.obs.trace`, ``repro trace`` CLI);
+- :data:`TRACER` / ``OBS.span(name)`` / :class:`TraceAssembler` — the
+  one span model: nested wall-clock spans on one thread-local stack that
+  feed ``repro_span_seconds``, are written as JSONL span records (a
+  serve ``--trace-dir`` or the ``--trace PATH`` file), propagate across
+  threads and processes via ``X-Trace-Id`` / the RPC envelope, and are
+  assembled offline into timelines (:mod:`repro.obs.trace`,
+  ``repro trace`` CLI);
 - :class:`JsonlSink` / :class:`PromTextSink` / :class:`MemorySink` —
   pluggable outputs (:mod:`repro.obs.sinks`);
 - :func:`get_logger` / :func:`configure_logging` — the stdlib-logging
   wrapper used by library code instead of ``print``
   (:mod:`repro.obs.log`).
 
-See ``docs/observability.md`` for the metric catalogue, the trace
+See ``docs/observability.md`` for the metric catalogue, the span
 model, sink formats, and measured overhead.
 """
 
@@ -39,7 +40,6 @@ from repro.obs.registry import (
     sanitize_metric_name,
 )
 from repro.obs.sinks import JsonlSink, MemorySink, PromTextSink, Sink
-from repro.obs.spans import SpanNode, SpanTracker
 from repro.obs.telemetry import (
     OBS,
     PeriodicFlusher,
@@ -57,13 +57,12 @@ from repro.obs.trace import (
     TRACE_ID_HEADER,
     TRACER,
     AssembledTrace,
+    Span,
     SpanRecord,
     TraceAssembler,
     TraceContext,
     Tracer,
     assemble_trace_dir,
-    disable_tracing,
-    enable_tracing,
     iter_trace_records,
 )
 
@@ -84,9 +83,8 @@ __all__ = [
     "PeriodicFlusher",
     "PromTextSink",
     "Sink",
-    "SpanNode",
+    "Span",
     "SpanRecord",
-    "SpanTracker",
     "TRACE_ID_HEADER",
     "TRACER",
     "Telemetry",
@@ -97,8 +95,6 @@ __all__ = [
     "assemble_trace_dir",
     "configure",
     "configure_logging",
-    "disable_tracing",
-    "enable_tracing",
     "enabled",
     "get_logger",
     "iter_trace_records",

@@ -9,7 +9,7 @@ A sink receives two kinds of output from the active
   shutdown time.
 
 Three implementations cover the tentpole surface: :class:`JsonlSink`
-(one JSON object per line — run events and span trees),
+(one JSON object per line — run events and span records),
 :class:`PromTextSink` (Prometheus text exposition of the registry,
 rewritten on every flush), and :class:`MemorySink` (in-process capture
 for tests).

@@ -10,9 +10,11 @@ every recording with one attribute check::
         OBS.registry.counter("repro_online_steps_total").inc()
 
 so a telemetry-off run pays one boolean attribute read per call site and
-allocates nothing. Spans follow the same pattern internally —
-``OBS.span(name)`` returns a shared no-op context manager while
-disabled.
+allocates nothing. ``OBS.span(name)`` opens a span of the process's one
+span model (:mod:`repro.obs.trace`) and returns a shared no-op context
+manager while neither telemetry nor tracing is on. A configured session
+binds its registry (``repro_span_seconds``) and sinks (span records)
+to :data:`~repro.obs.trace.TRACER`.
 
 Sessions are started with :func:`configure` (or the
 :func:`session` context manager) and ended with :func:`shutdown`, which
@@ -39,7 +41,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.log import LEVELS, configure_logging
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import JsonlSink, PromTextSink, Sink
-from repro.obs.spans import NOOP_SPAN, SpanNode, SpanTracker
+from repro.obs.trace import TRACER
 
 
 @dataclass
@@ -56,7 +58,8 @@ class TelemetryConfig:
         Prometheus text exposition here at shutdown/flush.
     trace_path:
         When set, a :class:`~repro.obs.sinks.JsonlSink` streams
-        structured run events (one JSON object per line) here.
+        structured run events and span records (one JSON object per
+        line) here; ``repro trace`` reads the spans back.
     log_level:
         When set (``"debug"``/``"info"``/``"warning"``/``"error"``),
         :func:`repro.obs.configure_logging` is invoked at activation.
@@ -129,7 +132,7 @@ class PeriodicFlusher(threading.Thread):
 
 
 class Telemetry:
-    """One telemetry session: registry + sinks + span tracker + events."""
+    """One telemetry session: registry + sinks + run events."""
 
     def __init__(self) -> None:
         self.enabled = False
@@ -137,7 +140,6 @@ class Telemetry:
         self.sinks: list = []
         self._seq = 0
         self._lock = threading.Lock()
-        self._spans = SpanTracker(self._finish_root_span, self._close_span)
         self._flusher: Optional[PeriodicFlusher] = None
 
     # ------------------------------------------------------------------
@@ -165,6 +167,10 @@ class Telemetry:
         self.sinks = new_sinks
         self._seq = 0
         self.enabled = enabled
+        TRACER.bind(
+            self.registry if enabled else None,
+            self._write_record if enabled and self.sinks else None,
+        )
         interval = config.flush_interval if config is not None else None
         if enabled and interval is not None and self.sinks:
             self._flusher = PeriodicFlusher(self, interval)
@@ -178,6 +184,7 @@ class Telemetry:
         values after shutdown. Safe to call when never configured.
         """
         self.enabled = False
+        TRACER.bind(None, None)
         flusher, self._flusher = self._flusher, None
         if flusher is not None:
             flusher.stop()
@@ -208,27 +215,15 @@ class Telemetry:
             for sink in self.sinks:
                 sink.emit(event)
 
-    def span(self, name: str):
-        """Context manager timing a (possibly nested) region."""
-        if not self.enabled:
-            return NOOP_SPAN
-        return self._spans.span(name)
+    def _write_record(self, record: dict) -> None:
+        """Send one span record to every sink (the tracer's destination)."""
+        with self._lock:
+            for sink in self.sinks:
+                sink.emit(record)
 
-    def _close_span(self, node: SpanNode) -> None:
-        self.registry.histogram(
-            "repro_span_seconds", {"span": node.name}
-        ).observe(node.duration)
-        if node.dropped_children:
-            # The child cap in spans.py truncates silently at record
-            # time; surface the loss so a short tree is visibly
-            # incomplete rather than quietly wrong.
-            self.registry.counter(
-                "repro_obs_spans_dropped_total", {"source": "span_tree"}
-            ).inc(node.dropped_children)
-
-    def _finish_root_span(self, node: SpanNode) -> None:
-        self.emit("span", span=node.name, seconds=node.duration,
-                  tree=node.to_dict())
+    #: ``with OBS.span("pool.fit"): ...`` — time a region as a span of
+    #: the process's one span model (see :meth:`Tracer.open`).
+    span = staticmethod(TRACER.open)
 
 
 #: The process-global telemetry session. Never replaced — call sites may

@@ -1,42 +1,52 @@
-"""Distributed request tracing across the serving runtime's processes.
+"""One span model for the process: timing, tracing and trace assembly.
 
-The PR 3 span trees (:mod:`repro.obs.spans`) time nested regions inside
-*one* process. The serving stack spans several — HTTP frontend →
-micro-batcher → shard RPC → worker → store/pool/actor — so explaining a
-slow request needs spans that share one **trace id** across process
-boundaries. This module provides exactly that, dependency-free:
+Every timed region in repro is a :class:`Span` on :data:`TRACER`'s
+thread-local stack: a ``repro forecast`` run's ``eadrl.fit`` →
+``pool.fit`` / ``pool.prediction_matrix`` / ``ddpg.train``, each Alg. 1
+``online.step``, and a served request's ``http.request`` →
+``rpc.shard`` → ``worker.handle`` → ``store.restore``. When a span
+closes:
 
-- :class:`TraceContext` — ``(trace_id, span_id, baggage)`` minted at
+- while telemetry is on (:data:`repro.obs.OBS`), its duration feeds the
+  histogram ``repro_span_seconds{span=<name>}``;
+- while it is traced, it is written as one JSON record::
+
+      {"trace": ..., "span": ..., "parent": ..., "name": "rpc.shard",
+       "process": "frontend", "pid": 123, "start": <unix s>,
+       "dur": <s>, "attrs": {"shard": 2}}
+
+Records go to one of two destinations. Under ``serve --trace-dir`` each
+process appends to **its own** ``trace-<process>.<pid>.jsonl`` (no
+cross-process synchronisation on the hot path; ``{"meta": ...}`` lines
+carry the drop counters). Otherwise they go to the telemetry session's
+sinks, so the ``--trace PATH`` file of ``repro forecast/table2/fig2/
+report`` holds span records between its run events.
+
+Two ways to open a span:
+
+- ``OBS.span(name)`` (:meth:`Tracer.open`) — library regions. It nests
+  under the span open on this thread. With none open it starts a trace
+  only when the telemetry sinks are the destination; under a trace dir
+  it times without writing, so library calls outside a request never
+  mint orphan traces. A parent writes at most :data:`MAX_CHILDREN` such
+  children, so a 2,000-step loop does not write 2,000 lines; the rest
+  still feed the histogram and count in
+  ``repro_obs_spans_dropped_total``.
+- ``TRACER.span`` / ``child_span`` / ``record`` — request tracing.
+  :class:`TraceContext` ``(trace_id, span_id, baggage)`` is minted at
   ingress (or adopted from an ``X-Trace-Id`` header) and propagated
-  through thread hops (captured explicitly by the micro-batcher) and
-  process hops (a ``trace`` dict on the shard RPC envelope);
-- :class:`Tracer` / :data:`TRACER` — the process-global recorder. Each
-  process appends finished spans to **its own** JSONL file
-  (``trace-<process>.<pid>.jsonl`` under a shared directory), so no
-  cross-process synchronisation exists on the hot path. Disabled (the
-  default) every call site costs one attribute read and
-  :data:`NOOP_TRACE_SPAN`;
-- :class:`TraceAssembler` — reads any number of those files and
-  stitches per-request timelines back together: parent/child trees
-  across processes, wall-time coverage, a critical-path breakdown
-  (queue wait, coalesce wait, RPC, restore/spill, pool eval, actor
-  forward, checkpoint), and links from coalesced requests to their
-  shared batch span. Surfaced as the ``repro trace`` CLI.
+  across thread hops (captured by the micro-batcher) and process hops (a
+  ``trace`` dict on the shard RPC envelope).
 
-Span records are plain JSON lines::
+:class:`TraceAssembler` reads any number of record files — skipping run
+events and meta lines — and stitches per-request timelines back
+together: parent/child trees across processes, wall-time coverage, a
+critical-path breakdown, and links from coalesced requests to their
+shared batch span. Surfaced as the ``repro trace`` CLI.
 
-    {"trace": ..., "span": ..., "parent": ..., "name": "rpc.shard",
-     "process": "frontend", "pid": 123, "start": <unix s>,
-     "dur": <s>, "attrs": {"shard": 2}}
-
-plus ``{"meta": ...}`` lines carrying per-process drop counters, so a
-truncated trace is visibly incomplete instead of silently short
-(``repro_obs_spans_dropped_total{source="trace"}`` counts the same
-drops in the metrics registry).
-
-Determinism contract: tracing only *reads* request state — outputs of a
-traced run are bit-identical to an untraced one, and the disabled fast
-path stays inside the PR 3 overhead budget.
+Disabled, every entry point costs one attribute read and returns
+:data:`NOOP_TRACE_SPAN`. Spans only *read* program state, so traced
+runs are bit-identical to untraced ones.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 #: HTTP header names for context propagation (request and response).
 TRACE_ID_HEADER = "X-Trace-Id"
@@ -60,6 +70,10 @@ _ID_PATTERN = re.compile(r"^[0-9a-f]{8,32}$")
 #: Spans recorded per process before further spans are dropped (and
 #: counted — see ``Tracer.dropped``).
 MAX_SPANS_PER_PROCESS = 200_000
+
+#: ``OBS.span`` children a parent writes before further ones are
+#: dropped (still timed into the histogram, and counted).
+MAX_CHILDREN = 64
 
 #: Sentinel for ``Tracer.span(parent=NEW_TRACE)``: force a fresh root
 #: trace even when an ambient context is active (the shared batch span).
@@ -106,36 +120,42 @@ class TraceContext:
         return f"TraceContext({self.trace_id}, span={self.span_id})"
 
 
-class _NoopTraceSpan:
+class _NoopSpan:
     """Shared do-nothing span for the disabled fast path."""
 
     __slots__ = ()
 
     ctx: Optional[TraceContext] = None
+    duration = 0.0
 
-    def __enter__(self) -> "_NoopTraceSpan":
+    def __enter__(self) -> "_NoopSpan":
         return self
 
     def __exit__(self, *exc_info) -> None:
         return None
 
 
-NOOP_TRACE_SPAN = _NoopTraceSpan()
+NOOP_TRACE_SPAN = _NoopSpan()
 
 
-class TraceSpan:
-    """One live cross-process span; records itself on ``__exit__``."""
+class Span:
+    """One timed region on the thread's span stack.
 
-    __slots__ = ("_tracer", "name", "ctx", "parent_id", "attrs",
-                 "start", "_t0")
+    ``ctx`` is ``None`` for a span that is timed but not written (no
+    destination, outside any request, or past its parent's child cap);
+    its own ``OBS.span`` children are then not written either.
+    """
+
+    __slots__ = ("_tracer", "name", "ctx", "parent_id", "attrs", "start",
+                 "duration", "children", "dropped", "_t0")
 
     def __init__(
         self,
         tracer: "Tracer",
         name: str,
-        ctx: TraceContext,
+        ctx: Optional[TraceContext],
         parent_id: Optional[str],
-        attrs: Dict[str, Any],
+        attrs: Optional[Dict[str, Any]],
     ):
         self._tracer = tracer
         self.name = name
@@ -144,42 +164,53 @@ class TraceSpan:
         self.parent_id = parent_id
         self.attrs = attrs
         self.start = 0.0
+        self.duration = 0.0
+        #: ``OBS.span`` children written and dropped by the child cap.
+        self.children = 0
+        self.dropped = 0
         self._t0 = 0.0
 
-    def __enter__(self) -> "TraceSpan":
-        self._tracer._push(self.ctx)
-        self.start = time.time()
+    def __enter__(self) -> "Span":
+        self._tracer._stack().append(self)
+        if self.ctx is not None:
+            self.start = time.time()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        duration = time.perf_counter() - self._t0
-        self._tracer._pop(self.ctx)
-        self._tracer._record(
-            self.name, self.ctx.trace_id, self.ctx.span_id,
-            self.parent_id, self.start, duration, self.attrs,
-        )
+        self.duration = time.perf_counter() - self._t0
+        self._tracer._close(self)
         return None
 
 
 class Tracer:
-    """Per-process trace recorder with an ambient-context stack.
+    """The process's span stack, span recorder and trace destination.
 
-    One instance (:data:`TRACER`) lives per process; :meth:`enable`
-    points it at a JSONL file inside a shared trace directory. Contexts
-    propagate implicitly down a thread (``span`` pushes its context on
-    a thread-local stack) and explicitly across threads and processes
-    (``current()`` → capture, ``activate``/``parent=`` → restore).
+    One instance (:data:`TRACER`) lives per process. :meth:`enable`
+    points it at a JSONL file inside a shared trace directory (request
+    tracing, :attr:`enabled`); :meth:`bind` attaches the telemetry
+    session's registry and sinks. Contexts propagate implicitly down a
+    thread (an open span is the ambient context) and explicitly across
+    threads and processes (``current()`` → capture, ``parent=`` →
+    restore).
     """
 
     def __init__(self) -> None:
+        #: Request tracing on: a trace dir is the destination.
         self.enabled = False
-        self.process = ""
+        #: Spans do work at all (tracing, telemetry sinks or metrics) —
+        #: the one flag ``OBS.span`` reads.
+        self.live = False
+        self.process = "main"
         self.path: Optional[Path] = None
         self.recorded = 0
         self.dropped = 0
         self.max_spans = MAX_SPANS_PER_PROCESS
+        #: Registry fed ``repro_span_seconds`` while telemetry is on.
+        self.registry = None
         self._handle = None
+        #: Writes a record to the telemetry sinks (``--trace PATH``).
+        self._sink_write: Optional[Callable[[Dict[str, Any]], None]] = None
         self._lock = threading.Lock()
         self._local = threading.local()
         self._atexit_registered = False
@@ -198,7 +229,8 @@ class Tracer:
 
         The file name embeds ``process`` and the pid, so a respawned
         shard worker (same role, new pid) never interleaves with its
-        predecessor's file.
+        predecessor's file. A trace dir takes precedence over the
+        telemetry sinks as the destination.
         """
         self.disable()
         directory = Path(trace_dir)
@@ -211,7 +243,7 @@ class Tracer:
         self.recorded = 0
         self.dropped = 0
         self.max_spans = int(max_spans)
-        self.enabled = True
+        self.enabled = self.live = True
         self._write({"meta": "tracer_start", "process": self.process,
                      "pid": os.getpid(), "ts": round(time.time(), 6)})
         if not self._atexit_registered:
@@ -222,74 +254,93 @@ class Tracer:
         return self
 
     def disable(self) -> None:
-        """Write the final drop-count meta line and close the sink."""
+        """Write the final drop-count meta line and close the trace file."""
         if not self.enabled:
             return
         self.enabled = False
-        self._write({"meta": "tracer_stop", "process": self.process,
-                     "pid": os.getpid(), "recorded": self.recorded,
-                     "dropped": self.dropped})
+        self._write(self._stop_meta())
         handle, self._handle = self._handle, None
         if handle is not None:
             try:
                 handle.close()
             except OSError:  # pragma: no cover - close race
                 pass
+        self.recorded = self.dropped = 0
+        self.live = self.registry is not None
+
+    def bind(self, registry, sink_write) -> None:
+        """Attach the telemetry session (``None``, ``None`` detaches).
+
+        ``registry`` receives ``repro_span_seconds`` and the drop
+        counter; ``sink_write`` writes records to the session's sinks
+        while no trace dir is enabled. Detaching writes the drop-count
+        meta line to the old sinks when they received any span.
+        """
+        if (self._sink_write is not None and not self.enabled
+                and (self.recorded or self.dropped)):
+            self._sink_write(self._stop_meta())
+        self.registry = registry
+        self._sink_write = sink_write
+        if not self.enabled:
+            self.recorded = self.dropped = 0
+        self.live = self.enabled or registry is not None
+
+    def _stop_meta(self) -> Dict[str, Any]:
+        return {"meta": "tracer_stop", "process": self.process,
+                "pid": os.getpid(), "recorded": self.recorded,
+                "dropped": self.dropped}
 
     # ------------------------------------------------------------------
     # Ambient context
     # ------------------------------------------------------------------
-    def _stack(self) -> List[TraceContext]:
+    def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = []
             self._local.stack = stack
         return stack
 
-    def _push(self, ctx: TraceContext) -> None:
-        self._stack().append(ctx)
-
-    def _pop(self, ctx: TraceContext) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is ctx:
-            stack.pop()
-        elif ctx in stack:  # pragma: no cover - unbalanced exit guard
-            stack.remove(ctx)
-
     def current(self) -> Optional[TraceContext]:
-        """The ambient context of this thread, if a span is open."""
+        """The ambient context of this thread, if a traced span is open."""
         stack = self._stack()
-        return stack[-1] if stack else None
-
-    class _Activation:
-        __slots__ = ("_tracer", "_ctx")
-
-        def __init__(self, tracer: "Tracer", ctx: TraceContext):
-            self._tracer = tracer
-            self._ctx = ctx
-
-        def __enter__(self):
-            self._tracer._push(self._ctx)
-            return self._ctx
-
-        def __exit__(self, *exc_info):
-            self._tracer._pop(self._ctx)
-            return None
-
-    def activate(self, ctx: TraceContext) -> "Tracer._Activation":
-        """Reinstate a captured context on this thread (thread hop)."""
-        return Tracer._Activation(self, ctx)
+        return stack[-1].ctx if stack else None
 
     # ------------------------------------------------------------------
     # Span creation
     # ------------------------------------------------------------------
+    def open(self, name: str):
+        """A library span (``OBS.span``): nests under this thread's span.
+
+        With no span open it starts a trace only when the telemetry
+        sinks are the destination (the whole run is the trace); under a
+        trace dir it is timed but not written. Past a parent's
+        :data:`MAX_CHILDREN` written children it is timed and counted
+        as dropped.
+        """
+        if not self.live:
+            return NOOP_TRACE_SPAN
+        stack = self._stack()
+        ctx = parent_id = None
+        if stack:
+            parent = stack[-1]
+            if parent.ctx is not None:
+                if parent.children < MAX_CHILDREN:
+                    parent.children += 1
+                    ctx = parent.ctx.child(new_id())
+                    parent_id = parent.ctx.span_id
+                else:
+                    parent.dropped += 1
+        elif self._sink_write is not None and not self.enabled:
+            ctx = TraceContext(new_id(), new_id())
+        return Span(self, name, ctx, parent_id, None)
+
     def span(self, name: str, parent=None, **attrs):
-        """Open a span: child of ``parent`` (or the ambient context).
+        """Open a request span: child of ``parent`` (or the ambient context).
 
         ``parent=None`` uses the ambient context, minting a fresh root
         trace when there is none (service ingress). ``parent=NEW_TRACE``
-        always mints a root (the shared batch span). Disabled tracers
-        return :data:`NOOP_TRACE_SPAN`.
+        always mints a root (the shared batch span). Without request
+        tracing this returns :data:`NOOP_TRACE_SPAN`.
         """
         if not self.enabled:
             return NOOP_TRACE_SPAN
@@ -304,7 +355,7 @@ class Tracer:
         else:
             ctx = parent_ctx.child(span_id)
             parent_id = parent_ctx.span_id
-        return TraceSpan(self, name, ctx, parent_id, attrs)
+        return Span(self, name, ctx, parent_id, attrs)
 
     def child_span(self, name: str, **attrs):
         """A span only when a request trace is already active.
@@ -354,6 +405,25 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def _close(self, span: Span) -> None:
+        stack = self._stack()
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # pragma: no cover - unbalanced exit guard
+            stack.remove(span)
+        registry = self.registry
+        if registry is not None:
+            registry.histogram(
+                "repro_span_seconds", {"span": span.name}
+            ).observe(span.duration)
+        if span.dropped:
+            self._count_drops(span.dropped)
+        ctx = span.ctx
+        if ctx is not None:
+            self._record(span.name, ctx.trace_id, ctx.span_id,
+                         span.parent_id, span.start, span.duration,
+                         span.attrs)
+
     def _record(
         self,
         name: str,
@@ -362,14 +432,15 @@ class Tracer:
         parent_id: Optional[str],
         start: float,
         duration: float,
-        attrs: Dict[str, Any],
+        attrs: Optional[Dict[str, Any]],
     ) -> None:
         with self._lock:
-            if self.recorded >= self.max_spans:
-                self.dropped += 1
-                self._count_drop()
-                return
-            self.recorded += 1
+            full = self.recorded >= self.max_spans
+            if not full:
+                self.recorded += 1
+        if full:
+            self._count_drops(1)
+            return
         record = {
             "trace": trace_id,
             "span": span_id,
@@ -382,17 +453,17 @@ class Tracer:
         }
         if attrs:
             record["attrs"] = attrs
-        self._write(record)
+        if self.enabled:
+            self._write(record)
+        elif self._sink_write is not None:
+            self._sink_write(record)
 
-    def _count_drop(self) -> None:
-        # Imported lazily: obs.telemetry imports are cheap but this
-        # module must stay importable before the registry exists.
-        from repro.obs.telemetry import OBS
-
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_obs_spans_dropped_total", {"source": "trace"}
-            ).inc()
+    def _count_drops(self, n: int) -> None:
+        with self._lock:
+            self.dropped += n
+        registry = self.registry
+        if registry is not None:
+            registry.counter("repro_obs_spans_dropped_total").inc(n)
 
     def _write(self, obj: Dict[str, Any]) -> None:
         handle = self._handle
@@ -410,23 +481,16 @@ class Tracer:
 TRACER = Tracer()
 
 
-def enable_tracing(trace_dir, process: str, **kwargs) -> Tracer:
-    """Point this process's :data:`TRACER` at ``trace_dir``."""
-    return TRACER.enable(trace_dir, process, **kwargs)
-
-
-def disable_tracing() -> None:
-    """Stop recording and flush the drop-count meta line."""
-    TRACER.disable()
-
-
 # ======================================================================
 # Assembly: stitch per-process files into per-request timelines
 # ======================================================================
 
-#: Span-name → critical-path category used by the breakdown.
+#: Span-name → critical-path category used by the breakdown; any other
+#: span (``pool.fit``, ``online.step``, ...) is its own category.
 SPAN_CATEGORIES = {
     "http.request": "http",
+    "http.decode": "http",
+    "http.encode": "http",
     "service.observe": "service",
     "service.predict": "service",
     "service.create": "service",
@@ -441,6 +505,8 @@ SPAN_CATEGORIES = {
     "store.restore": "restore",
     "store.spill": "spill",
     "store.checkpoint": "checkpoint",
+    "checkpoint.save": "checkpoint",
+    "checkpoint.restore": "restore",
     "pool.eval": "pool_eval",
     "actor.forward": "actor_forward",
 }
@@ -470,7 +536,7 @@ class SpanRecord:
 
     @property
     def category(self) -> str:
-        return SPAN_CATEGORIES.get(self.name, "other")
+        return SPAN_CATEGORIES.get(self.name, self.name)
 
 
 def _union_seconds(intervals: List[tuple]) -> float:
@@ -653,6 +719,8 @@ class TraceAssembler:
 
     # ------------------------------------------------------------------
     def add_span(self, record: Mapping[str, Any]) -> None:
+        if "event" in record:
+            return  # a run event sharing a ``--trace PATH`` file
         if "meta" in record:
             if record.get("meta") == "tracer_stop":
                 process = str(record.get("process", "?"))

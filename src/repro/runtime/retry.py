@@ -7,7 +7,9 @@ operations (sequence-numbered ``observe``, pure reads, conflict-tolerant
 jitter so a fleet of clients retrying against a restarting shard does
 not stampede it in lockstep, and every sleep is clamped to the
 request's remaining :class:`~repro.runtime.deadline.Deadline` — a retry
-never outlives the budget the caller is still waiting on.
+never outlives the budget the caller is still waiting on. An error that
+names its own ``retry_after`` (a shard waiting out its respawn backoff)
+is waited out at least that long, within the same deadline.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ class RetryPolicy:
                     raise
                 if deadline is not None and deadline.expired():
                     raise
-                delay = self.backoff(attempt - 1, rng)
+                delay = max(
+                    self.backoff(attempt - 1, rng),
+                    getattr(err, "retry_after", 0.0),
+                )
                 if deadline is not None:
                     delay = min(delay, max(0.0, deadline.remaining()))
                 if on_retry is not None:

@@ -38,7 +38,9 @@ checkpoint served from the ensemble-average fallback) are **200** with
 ``"degraded": true`` in the body.
 
 Tracing: when the service runs with a ``trace_dir``, every request gets
-a root ``http.request`` span. A client may supply its own trace id via
+a root ``http.request`` span, with ``http.decode`` (body read and JSON
+parse) and ``http.encode`` (JSON encode and response write) children
+so the frontend's own time is attributed. A client may supply its own trace id via
 the ``X-Trace-Id`` header (hex, 8–32 chars; malformed ids are ignored
 and a fresh trace minted); the effective id is echoed back in the
 response's ``X-Trace-Id`` header either way, ready for ``repro trace``.
@@ -129,17 +131,18 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: Any, headers: Optional[dict] = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        ctx = getattr(self, "_trace_ctx", None)
-        if ctx is not None:
-            self.send_header(TRACE_ID_HEADER, ctx.trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        with TRACER.child_span("http.encode"):
+            body = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            ctx = getattr(self, "_trace_ctx", None)
+            if ctx is not None:
+                self.send_header(TRACE_ID_HEADER, ctx.trace_id)
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
 
     def _send_error_json(self, error: BaseException) -> None:
         status = _status_for(error)
@@ -186,18 +189,21 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > _MAX_BODY_BYTES:
-            raise DataValidationError(
-                f"request body too large ({length} bytes)"
-            )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise DataValidationError("request body must be JSON")
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise DataValidationError(f"malformed JSON body: {err}") from None
+        with TRACER.child_span("http.decode"):
+            length = int(self.headers.get("Content-Length", 0) or 0)
+            if length > _MAX_BODY_BYTES:
+                raise DataValidationError(
+                    f"request body too large ({length} bytes)"
+                )
+            raw = self.rfile.read(length) if length else b""
+            if not raw:
+                raise DataValidationError("request body must be JSON")
+            try:
+                return json.loads(raw)
+            except json.JSONDecodeError as err:
+                raise DataValidationError(
+                    f"malformed JSON body: {err}"
+                ) from None
 
     def _session_route(self) -> Tuple[Optional[str], Optional[str]]:
         """``/v1/sessions/<id>[/<action>]`` → (id, action)."""

@@ -233,7 +233,7 @@ class SeriesSession:
         bit-identical to this method.
         """
         scaled_row, healthy = self.prepare_forecast(prediction_row, mask)
-        if OBS.enabled or TRACER.enabled:
+        if TRACER.live:
             weights = self._timed_forward()
         else:
             weights = self.agent.policy_weights(self._state)

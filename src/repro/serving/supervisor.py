@@ -512,8 +512,16 @@ class ShardSupervisor:
                             f"shard {shard.index} is crash-looping; its "
                             "restart breaker is open — retry later"
                         )
+                    # A crash-looping shard respawns at the first
+                    # monitor tick after its backoff; the retry waits
+                    # for that instead of burning its attempts early.
+                    respawn_in = shard.next_respawn_at - time.monotonic()
                     raise WorkerCrashedError(
-                        shard.index, "worker is down (restarting)"
+                        shard.index, "worker is down (restarting)",
+                        retry_after=(
+                            respawn_in + MONITOR_INTERVAL
+                            if respawn_in > 0 else 0.0
+                        ),
                     )
                 shard.pending[request_id] = future
                 try:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, WorkerCrashedError
 from repro.runtime import Deadline, RetryPolicy, coerce_deadline
 
 
@@ -162,6 +163,33 @@ class TestRetryPolicy:
             on_retry=lambda n, err: seen.append((n, str(err))),
         )
         assert seen == [(1, "fail-1"), (2, "fail-2")]
+
+    def test_error_retry_after_is_waited_out(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(
+            "repro.runtime.retry.time", SimpleNamespace(sleep=slept.append)
+        )
+        attempts = {"n": 0}
+
+        def down_then_up():
+            attempts["n"] += 1
+            if attempts["n"] == 1:
+                raise WorkerCrashedError(0, "restarting", retry_after=2.5)
+            return "ok"
+
+        policy = RetryPolicy(max_attempts=3, base=0.05, jitter=0.0)
+        assert policy.call(
+            down_then_up, retry_on=(WorkerCrashedError,)
+        ) == "ok"
+        assert slept == [2.5]
+        # The caller's deadline still bounds the wait.
+        slept.clear()
+        attempts["n"] = 0
+        policy.call(
+            down_then_up, retry_on=(WorkerCrashedError,),
+            deadline=Deadline.from_budget(1.0),
+        )
+        assert len(slept) == 1 and slept[0] <= 1.0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ import json
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,6 +369,38 @@ class TestRespawnBackoff:
             # ...and bounded the respawn churn: without it a worker that
             # dies in ~50ms would burn through dozens of generations.
             assert shard.generation <= 8
+        finally:
+            sup.shutdown()
+
+    def test_retry_waits_out_a_scheduled_respawn(
+        self, bundle, series, tmp_path, monkeypatch
+    ):
+        sup = ShardSupervisor(
+            bundle, ServiceConfig(shards=1, spill_dir=str(tmp_path))
+        )
+        try:
+            sup.create_session("held", series[:180])
+            shard = sup._shards[0]
+            slept = []
+
+            def sleep(seconds):
+                # Stands in for the monitor's respawn at the end of
+                # the backoff: the shard is back when the retry wakes.
+                slept.append(seconds)
+                with shard.lock:
+                    shard.alive = True
+                    shard.next_respawn_at = 0.0
+
+            monkeypatch.setattr(
+                "repro.runtime.retry.time", SimpleNamespace(sleep=sleep)
+            )
+            with shard.lock:
+                shard.alive = False
+                shard.next_respawn_at = time.monotonic() + 1.0
+            assert sup.predict("held")["session"] == "held"
+            # One retry, and it slept through the whole backoff instead
+            # of the policy's 0.05 s first step.
+            assert len(slept) == 1 and slept[0] >= 1.0
         finally:
             sup.shutdown()
 

@@ -178,13 +178,40 @@ class TestExecution:
         assert "# TYPE repro_ddpg_episodes_total counter" in text
         assert "repro_span_seconds_bucket" in text
 
-        events = [json.loads(line) for line in trace_path.open()]
+        lines = [json.loads(line) for line in trace_path.open()]
+        events = [e for e in lines if "event" in e]
         kinds = {e["event"] for e in events}
-        # The trace covers pool fit, training episodes, and online steps.
+        # The trace covers pool fit, training episodes, online steps,
+        # and the span records timing them.
         assert {"fit_start", "fit_done", "train_episode",
-                "online_step", "span"} <= kinds
+                "online_step"} <= kinds
+        spans = {e["name"] for e in lines if "trace" in e}
+        assert {"eadrl.fit", "pool.fit", "ddpg.train", "online.step"} <= spans
         steps = [e for e in events if e["event"] == "online_step"]
         assert all("weights" in e and "seconds" in e for e in steps)
+
+    def test_trace_reads_a_forecast_trace(self, capsys, tmp_path):
+        import json
+
+        trace_path = tmp_path / "t.jsonl"
+        assert main([
+            "forecast", "--dataset", "15", "--length", "200",
+            "--episodes", "2", "--iterations", "10",
+            "--trace", str(trace_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(trace_path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["malformed_lines"] == 0
+        fits = [t for t in report["traces"] if t["root"] == "eadrl.fit"]
+        assert len(fits) >= 1
+
+        from repro.obs import TraceAssembler
+
+        assembler = TraceAssembler().add_path(trace_path)
+        trace = assembler.trace(fits[0]["trace_id"])
+        children = {s.name for s in trace.children(trace.root)}
+        assert {"pool.fit", "pool.prediction_matrix", "ddpg.train"} <= children
 
     def test_forecast_checkpoints_and_resumes(self, capsys, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
