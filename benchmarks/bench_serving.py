@@ -149,68 +149,6 @@ def run_load(service, series, *, sessions: int, steps: int) -> dict:
     }
 
 
-def profile_gil_ceiling(
-    bundle,
-    series,
-    *,
-    sessions: int = 1000,
-    steps: int = 2,
-    shard_counts: tuple = (2, 4, 8),
-    max_resident: int = 256,
-) -> dict:
-    """Reported-only: in-process GIL ceiling vs supervised shard fleets.
-
-    Drives the same short 1k-tenant burst against one in-process
-    service (every forecast competes for one GIL) and against fleets of
-    2/4/8 shard *processes*. The speedup column quantifies how much
-    single-process throughput the GIL caps and how the supervised
-    runtime scales it back; never gated, since absolute numbers are
-    machine-dependent.
-    """
-    from repro.serving import make_service
-
-    runs = []
-    for shards in (0,) + tuple(shard_counts):
-        service = make_service(bundle, ServiceConfig(
-            shards=shards,
-            max_sessions=max_resident,
-            spill_dir=tempdirs.mkdtemp("bench-serving-gil-"),
-            queue_limit=max(512, 4 * sessions),
-            deadline=120.0,
-            batch_wait=0.002,
-            batch_size=32,
-        ))
-        try:
-            stats = run_load(
-                service, series, sessions=sessions, steps=steps
-            )
-        finally:
-            service.shutdown()
-        runs.append({
-            "shards": shards,
-            "runtime": "supervised" if shards else "in-process",
-            "throughput_rps": stats["throughput_rps"],
-            "requests_completed": stats["requests_completed"],
-            "requests_failed": stats["requests_failed"],
-            "latency_ms": stats["latency_ms"],
-        })
-        label = f"{shards} shard(s)" if shards else "in-process"
-        print(f"gil ceiling [{label:>10}]: "
-              f"{stats['throughput_rps']:8.1f} req/s   "
-              f"failed={stats['requests_failed']}")
-    baseline = runs[0]["throughput_rps"] or 1.0
-    for run in runs:
-        run["speedup_vs_in_process"] = run["throughput_rps"] / baseline
-    return {
-        "sessions": sessions,
-        "steps": steps,
-        "runs": runs,
-        "best_speedup": max(
-            run["speedup_vs_in_process"] for run in runs
-        ),
-    }
-
-
 def check_spill_bit_identity(bundle, series, *, steps: int) -> dict:
     """Acceptance: evicted-then-restored == always-resident, exactly."""
     resident = bundle.create_session("twin", series[:200])
@@ -248,13 +186,13 @@ def check_spill_bit_identity(bundle, series, *, steps: int) -> dict:
 def check_batched_bit_identity(
     bundle, series, *, sessions: int = 12, steps: int = 30
 ) -> dict:
-    """Acceptance: the service's group pass == the serial step, exactly.
+    """Acceptance: served observes == the serial step, exactly.
 
     A service and one twin session per tenant (built with
     ``bundle.create_session``, stepped by ``SeriesSession.observe``) are
     driven in lockstep: every step, all tenants submit concurrently to
-    the service (so the micro-batcher coalesces them into stacked
-    dispatches) and serially to their twins. Forecasts are compared
+    the service (the micro-batcher hands what is queued to the group
+    handler as one dispatch) and serially to their twins. Forecasts are compared
     bitwise per step, and at the end every checkpoint array of every
     session (policy network parameters, replay ring, state window, RNG
     state) must match to the byte.
@@ -262,8 +200,6 @@ def check_batched_bit_identity(
     service = ForecastService(bundle, ServiceConfig(
         max_sessions=sessions + 4,
         spill_dir=tempdirs.mkdtemp("bench-serving-batched-"),
-        batch_wait=0.01,
-        batch_size=sessions,
         queue_limit=max(64, 4 * sessions),
     ))
     ids = [f"pair-{i:03d}" for i in range(sessions)]
@@ -312,8 +248,10 @@ def check_batched_bit_identity(
                     not np.array_equal(arrays1[key], arrays2[key])
                 ):
                     state_mismatches += 1
-        grouped_dispatches = service.batcher.grouped_dispatches
-        grouped_requests = service.batcher.grouped_requests
+        # Every request here is an observe, so every dispatch went to
+        # the group handler.
+        grouped_dispatches = service.batcher.batches
+        grouped_requests = sessions * steps - len(failures)
     finally:
         service.shutdown()
     return {
@@ -362,8 +300,6 @@ def check_trace_coverage(
         spill_dir=tempdirs.mkdtemp("bench-serving-shards-"),
         queue_limit=max(256, 4 * sessions),
         deadline=30.0,
-        batch_wait=0.002,
-        batch_size=16,
         trace_dir=trace_dir,
     ))
     server = ForecastHTTPServer(service, port=0).start()
@@ -525,14 +461,6 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: small fleet, the >=100-"
                         "session gate is not enforced")
-    parser.add_argument("--profile", nargs="?", const="1k", default=None,
-                        choices=["1k", "gil_ceiling"],
-                        help="extra reported-only profile phase: '1k' "
-                        "(default when the flag is bare) runs a 1000-"
-                        "session short burst in-process; 'gil_ceiling' "
-                        "runs that burst against 1 in-process service "
-                        "vs 2/4/8 shard processes to measure how much "
-                        "throughput the GIL caps")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
 
@@ -554,8 +482,6 @@ def main(argv=None) -> int:
         spill_dir=tempdirs.mkdtemp("bench-serving-load-"),
         queue_limit=max(512, 4 * args.sessions),
         deadline=30.0,
-        batch_wait=0.002,
-        batch_size=32,
     ))
     try:
         load = run_load(
@@ -578,42 +504,6 @@ def main(argv=None) -> int:
           f"shutdown spilled {shutdown_summary.get('spilled')} "
           f"(clean={clean_shutdown})")
 
-    profile_1k = None
-    gil_ceiling = None
-    if args.profile == "gil_ceiling":
-        gil_ceiling = profile_gil_ceiling(
-            bundle, series,
-            sessions=200 if args.quick else 1000,
-            steps=2,
-            shard_counts=(2, 4) if args.quick else (2, 4, 8),
-            max_resident=max(args.max_resident, 256),
-        )
-    elif args.profile == "1k":
-        # Short-burst fleet profile: how does admission + spill churn
-        # behave at ~8x the gated tenant count? Reported, never gated.
-        profile_sessions, profile_steps = 1000, 3
-        profile_service = ForecastService(bundle, ServiceConfig(
-            max_sessions=args.max_resident,
-            spill_dir=tempdirs.mkdtemp("bench-serving-1k-"),
-            queue_limit=max(512, 4 * profile_sessions),
-            deadline=120.0,
-            batch_wait=0.002,
-            batch_size=32,
-        ))
-        try:
-            profile_1k = run_load(
-                profile_service, series,
-                sessions=profile_sessions, steps=profile_steps,
-            )
-            profile_1k["store"] = profile_service.store.stats()
-        finally:
-            profile_service.shutdown()
-        if profile_1k["latency_ms"]:
-            print(f"1k profile: throughput "
-                  f"{profile_1k['throughput_rps']:8.1f} req/s   "
-                  f"p50 {profile_1k['latency_ms']['p50']:7.2f}ms   "
-                  f"p99 {profile_1k['latency_ms']['p99']:7.2f}ms")
-
     spill = check_spill_bit_identity(
         bundle, series, steps=30 if args.quick else 60
     )
@@ -625,7 +515,7 @@ def main(argv=None) -> int:
         sessions=8 if args.quick else 12,
         steps=15 if args.quick else 30,
     )
-    print(f"batched bit-identity: "
+    print(f"served bit-identity: "
           f"grouped_dispatches={batched['grouped_dispatches']} "
           f"forecast_mismatches={batched['forecast_mismatches']} "
           f"state_mismatches={batched['state_mismatches']}")
@@ -665,10 +555,6 @@ def main(argv=None) -> int:
         "trace_coverage": trace,
         "min_sessions_gate": None if args.quick else MIN_SESSIONS_FULL,
     }
-    if profile_1k is not None:
-        result["profile_1k"] = profile_1k
-    if gil_ceiling is not None:
-        result["profile_gil_ceiling"] = gil_ceiling
     args.output.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.output}")
 
@@ -681,8 +567,8 @@ def main(argv=None) -> int:
         failed.append("evicted/restored session diverged from resident twin")
     if not batched["bit_identical"]:
         failed.append(
-            "stacked-batch inference diverged from the per-session path "
-            "(or never coalesced a group)"
+            "served observes diverged from the serial session step "
+            "(or no dispatch ran)"
         )
     if not clean_shutdown:
         failed.append("shutdown did not spill every resident session")

@@ -270,8 +270,6 @@ def cmd_serve(args) -> int:
         spill_dir=args.spill_dir,
         queue_limit=args.queue_limit,
         deadline=args.deadline,
-        batch_wait=args.batch_wait,
-        batch_size=args.batch_size,
         n_jobs=args.jobs,
         shards=args.shards,
         durable=args.durable,
@@ -420,15 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: fresh temp dir)")
     p_serve.add_argument("--queue-limit", type=int, default=256,
                          help="admission bound: requests beyond this get "
-                              "HTTP 429 (default 256)")
+                              "HTTP 429; a micro-batch takes whatever is "
+                              "queued, never waiting (default 256)")
     p_serve.add_argument("--deadline", type=float, default=2.0,
                          help="per-request latency budget in seconds; "
                               "missed deadlines get HTTP 503 (default 2)")
-    p_serve.add_argument("--batch-wait", type=float, default=0.002,
-                         help="micro-batch coalescing window in seconds "
-                              "(default 0.002)")
-    p_serve.add_argument("--batch-size", type=int, default=16,
-                         help="largest micro-batch (default 16)")
     p_serve.add_argument("--session-mode", default="drift",
                          choices=("periodic", "drift", "none"),
                          help="per-session policy-update trigger "

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pruning import Pruner
@@ -425,45 +425,66 @@ class EADRL:
         uniform = np.full(predictions.shape[1], 1.0 / predictions.shape[1])
         state = self._scaler.transform(boot[-self.config.window :] @ uniform)
         scaled_predictions = self._scaler.transform(predictions)
-        outputs = np.empty(predictions.shape[0])
-        weight_log = np.empty_like(predictions)
         checkpointer = self._loop_checkpointer(
             "matrix", predictions.shape[1], predictions.shape[0]
         )
-        start = 0
-        snapshot = checkpointer.restore() if checkpointer is not None else None
-        if snapshot is not None:
-            start = int(snapshot.meta["next_step"])
-            state = snapshot.arrays["loop.state"].copy()
-            outputs[:start] = snapshot.arrays["loop.outputs"]
-            weight_log[:start] = snapshot.arrays["loop.weights"]
         with OBS.span("eadrl.rolling_forecast_from_matrix"):
-            for i in range(start, predictions.shape[0]):
-                with OBS.span("online.step") as step_span:
-                    weights = self.agent.policy_weights(state)
-                    scaled_out, weight_log[i] = self._combine_masked(
-                        scaled_predictions[i], weights, healthy[i], i
-                    )
-                    outputs[i] = self._scaler.inverse_transform(scaled_out)
-                    state = np.append(state[1:], scaled_out)
-                if OBS.enabled:
-                    self._record_step(
-                        "matrix", i, float(outputs[i]), weight_log[i],
-                        step_span.duration,
-                    )
-                if checkpointer is not None:
-                    checkpointer.after_step(
-                        i,
-                        {
-                            "loop.state": state,
-                            "loop.outputs": outputs[: i + 1],
-                            "loop.weights": weight_log[: i + 1],
-                        },
-                        {},
-                    )
+            outputs, weight_log = self._static_loop(
+                "matrix", scaled_predictions, healthy, state, checkpointer
+            )
         if return_weights:
             return outputs, weight_log
         return outputs
+
+    def _static_loop(
+        self,
+        kind: str,
+        scaled_predictions: np.ndarray,
+        healthy: np.ndarray,
+        state: np.ndarray,
+        checkpointer,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Alg. 1 over a precomputed (scaled) prediction matrix.
+
+        Resumes from ``checkpointer``'s latest snapshot when there is
+        one; each step queries the frozen policy, combines the healthy
+        members (Eq. 1), shifts the ω-window, records the step, and
+        hands the loop state to the checkpointer. Returns
+        ``(outputs, weights)``.
+        """
+        outputs = np.empty(scaled_predictions.shape[0])
+        weight_log = np.empty_like(scaled_predictions)
+        first = 0
+        snapshot = checkpointer.restore() if checkpointer is not None else None
+        if snapshot is not None:
+            first = int(snapshot.meta["next_step"])
+            state = snapshot.arrays["loop.state"].copy()
+            outputs[:first] = snapshot.arrays["loop.outputs"]
+            weight_log[:first] = snapshot.arrays["loop.weights"]
+        for i in range(first, scaled_predictions.shape[0]):
+            with OBS.span("online.step") as step_span:
+                weights = self.agent.policy_weights(state)
+                scaled_out, weight_log[i] = self._combine_masked(
+                    scaled_predictions[i], weights, healthy[i], i
+                )
+                outputs[i] = self._scaler.inverse_transform(scaled_out)
+                state = np.append(state[1:], scaled_out)
+            if OBS.enabled:
+                self._record_step(
+                    kind, i, float(outputs[i]), weight_log[i],
+                    step_span.duration,
+                )
+            if checkpointer is not None:
+                checkpointer.after_step(
+                    i,
+                    {
+                        "loop.state": state,
+                        "loop.outputs": outputs[: i + 1],
+                        "loop.weights": weight_log[: i + 1],
+                    },
+                    {},
+                )
+        return outputs, weight_log
 
     # ------------------------------------------------------------------
     def _bootstrap_state(self, series: np.ndarray, start: int) -> np.ndarray:
@@ -509,44 +530,13 @@ class EADRL:
             scaled_predictions = self._scaler.transform(predictions)
 
             state = self._bootstrap_state(array, start)
-            outputs = np.empty(predictions.shape[0])
-            weight_log = np.empty_like(predictions)
             checkpointer = self._loop_checkpointer(
                 "rolling", predictions.shape[1], predictions.shape[0],
                 origin=int(start),
             )
-            first = 0
-            snapshot = (
-                checkpointer.restore() if checkpointer is not None else None
+            outputs, weight_log = self._static_loop(
+                "rolling", scaled_predictions, healthy, state, checkpointer
             )
-            if snapshot is not None:
-                first = int(snapshot.meta["next_step"])
-                state = snapshot.arrays["loop.state"].copy()
-                outputs[:first] = snapshot.arrays["loop.outputs"]
-                weight_log[:first] = snapshot.arrays["loop.weights"]
-            for i in range(first, predictions.shape[0]):
-                with OBS.span("online.step") as step_span:
-                    weights = self.agent.policy_weights(state)
-                    scaled_out, weight_log[i] = self._combine_masked(
-                        scaled_predictions[i], weights, healthy[i], i
-                    )
-                    outputs[i] = self._scaler.inverse_transform(scaled_out)
-                    state = np.append(state[1:], scaled_out)
-                if OBS.enabled:
-                    self._record_step(
-                        "rolling", i, float(outputs[i]), weight_log[i],
-                        step_span.duration,
-                    )
-                if checkpointer is not None:
-                    checkpointer.after_step(
-                        i,
-                        {
-                            "loop.state": state,
-                            "loop.outputs": outputs[: i + 1],
-                            "loop.weights": weight_log[: i + 1],
-                        },
-                        {},
-                    )
         if return_weights:
             return outputs, weight_log
         return outputs

@@ -7,7 +7,6 @@ losses, and first-order optimisers. It is intentionally small but complete
 enough to train the actor-critic networks and the neural base forecasters.
 """
 
-from repro.nn.batched import StackedLinears, rowwise_softmax
 from repro.nn.conv import Conv1d, GlobalAveragePool1d, MaxPool1d
 from repro.nn.layers import (
     Dropout,
@@ -49,11 +48,9 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "Softmax",
-    "StackedLinears",
     "Tanh",
     "Tensor",
     "clip_grad_norm",
-    "rowwise_softmax",
     "concatenate",
     "huber_loss",
     "load_module",

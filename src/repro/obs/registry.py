@@ -34,7 +34,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 100.0,
 )
 
-#: Sub-millisecond ladder for the spill-restore and stacked-forward
+#: Sub-millisecond ladder for the spill-restore and actor-forward
 #: histograms: the PR 7 fast paths land around 0.85 ms, which the
 #: default grid lumps into one bucket (0.5–1 ms). 10 µs–1 ms is covered
 #: at ~2× steps here; everything slower than 5 s is overflow by design.

@@ -21,7 +21,6 @@ from repro.rl.ddpg import (
     Critic,
     DDPGAgent,
     DDPGConfig,
-    StackedActorParams,
     TrainingHistory,
 )
 from repro.rl.dqn import DQNConfig, DQNSelector
@@ -29,7 +28,6 @@ from repro.rl.mdp import (
     EnsembleMDP,
     Transition,
     project_to_simplex,
-    project_to_simplex_batch,
 )
 from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
 from repro.rl.replay import ReplayBuffer
@@ -62,7 +60,6 @@ __all__ = [
     "RewardFunction",
     "SACAgent",
     "SACConfig",
-    "StackedActorParams",
     "TD3Agent",
     "TD3Config",
     "TrainingHistory",
@@ -73,6 +70,5 @@ __all__ = [
     "make_agent",
     "model_window_errors",
     "project_to_simplex",
-    "project_to_simplex_batch",
     "register_agent",
 ]

@@ -92,14 +92,10 @@ class AgentProtocol(Protocol):
     """Structural interface every registered agent satisfies.
 
     ``name`` identifies the agent in :data:`~repro.rl.agents.registry.
-    AGENT_REGISTRY` and in checkpoint/bundle metadata; ``batchable``
-    advertises whether the serving layer may run the agent's policy as
-    one stacked forward per micro-batch (agents exposing
-    ``stack_actor_params`` / ``policy_weights_batch``).
+    AGENT_REGISTRY` and in checkpoint/bundle metadata.
     """
 
     name: str
-    batchable: bool
     state_dim: int
     action_dim: int
 
@@ -149,8 +145,6 @@ class BaseAgent:
 
     #: Registry key; also stamped into checkpoints and bundles.
     name: str = "base"
-    #: Whether the serving layer may batch this agent's policy forward.
-    batchable: bool = False
     #: Config dataclass used when ``config=None``.
     config_cls: type = None  # type: ignore[assignment]
 

@@ -23,11 +23,6 @@ variables but drops the (weight-sharing) normalisation Jacobian of the
 final simplex projection — a documented approximation: the omitted
 term shifts log-probabilities by a bounded amount and leaves the
 maximum-entropy structure intact (``docs/paper_mapping.md``).
-
-The policy is stochastic, so the agent advertises
-``batchable = False``: the serving layer's stacked deterministic-actor
-kernel does not apply, and its group pass calls ``policy_weights`` once
-per session instead (telemetry reason ``agent_unbatched``).
 """
 
 from __future__ import annotations
@@ -189,7 +184,6 @@ class SACAgent(BaseAgent):
     """Soft actor-critic learner emitting simplex ensemble weights."""
 
     name = "sac"
-    batchable = False  # stochastic actor: no stacked deterministic pass
     config_cls = SACConfig
 
     def _build(self, init_rng, init_weights: bool) -> None:

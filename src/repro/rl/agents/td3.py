@@ -1,9 +1,7 @@
 """Twin Delayed DDPG (Fujimoto et al. 2018) on the ensemble simplex.
 
 TD3 keeps DDPG's deterministic actor — so ensemble weights come from
-the same softmax head, and the serving layer batches its policy with
-the same stacked-actor kernel — and changes the update rule in three
-ways:
+the same softmax head — and changes the update rule in three ways:
 
 1. **Twin critics.** Two independent critics are trained against the
    same target; the TD target takes their minimum, damping the
@@ -33,7 +31,22 @@ from repro.nn import Tensor, clip_grad_norm, mse_loss
 from repro.obs import OBS
 from repro.rl.agents.registry import register_agent
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
-from repro.rl.mdp import project_to_simplex_batch
+
+
+def _project_rows(weights: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`repro.rl.mdp.project_to_simplex` in one pass.
+
+    Elementwise ops and contiguous per-row sums, so row ``i`` equals
+    ``project_to_simplex(weights[i])`` bitwise without a Python call per
+    replay sample on every update.
+    """
+    w = np.maximum(weights, 0.0)
+    totals = w.sum(axis=-1, keepdims=True)
+    degenerate = totals[:, 0] <= 1e-12
+    out = w / np.where(degenerate[:, None], 1.0, totals)
+    if degenerate.any():
+        out[degenerate] = 1.0 / w.shape[-1]
+    return out
 
 
 @dataclass
@@ -70,7 +83,6 @@ class TD3Agent(DDPGAgent):
     """TD3 learner emitting the same simplex weights as DDPG."""
 
     name = "td3"
-    batchable = True  # deterministic actor: shares DDPG's stacked path
     config_cls = TD3Config
 
     def _build(self, init_rng, init_weights: bool) -> None:
@@ -103,7 +115,7 @@ class TD3Agent(DDPGAgent):
             self.config.target_noise_clip,
             out=noise,
         )
-        next_actions = project_to_simplex_batch(next_actions + noise)
+        next_actions = _project_rows(next_actions + noise)
 
         # Clipped double-Q target: y = r + γ(1−done)·min(Q1', Q2')(s', ã).
         target_q = self.target_critic(

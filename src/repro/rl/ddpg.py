@@ -21,17 +21,8 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.exceptions import CheckpointError, ConfigurationError, DataValidationError
-from repro.nn import (
-    Adam,
-    Linear,
-    Module,
-    StackedLinears,
-    Tensor,
-    clip_grad_norm,
-    mse_loss,
-    rowwise_softmax,
-)
+from repro.exceptions import CheckpointError, ConfigurationError
+from repro.nn import Adam, Linear, Module, Tensor, clip_grad_norm, mse_loss
 from repro.obs import OBS
 from repro.rl.agents.base import (  # noqa: F401  (re-exported for compat)
     BaseAgent,
@@ -39,7 +30,7 @@ from repro.rl.agents.base import (  # noqa: F401  (re-exported for compat)
     _action_entropy,
 )
 from repro.rl.agents.registry import register_agent
-from repro.rl.mdp import project_to_simplex, project_to_simplex_batch
+from repro.rl.mdp import project_to_simplex
 from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
 
 
@@ -85,60 +76,6 @@ class Actor(Module):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=-1, keepdims=True)
-
-
-class StackedActorParams:
-    """Per-layer weight stacks for N same-architecture actors.
-
-    Built once per coalesced serving batch via :meth:`from_actors`;
-    layer positions whose objects are still shared across every actor
-    (pristine tenant clones substituting the template's layers) collapse
-    to a single broadcast slice instead of an N-way copy. Feeding the
-    stack through :meth:`forward` reproduces each actor's
-    :meth:`Actor.forward_numpy` output bit-for-bit.
-    """
-
-    __slots__ = ("fc1", "fc2", "out", "logit_scale", "size")
-
-    def __init__(
-        self,
-        fc1: StackedLinears,
-        fc2: StackedLinears,
-        out: StackedLinears,
-        logit_scale: np.ndarray,
-        size: int,
-    ):
-        self.fc1 = fc1
-        self.fc2 = fc2
-        self.out = out
-        self.logit_scale = logit_scale
-        self.size = size
-
-    @classmethod
-    def from_actors(cls, actors: "list[Actor]") -> "StackedActorParams":
-        if not actors:
-            raise DataValidationError("need at least one actor to stack")
-        return cls(
-            StackedLinears.from_layers([actor.fc1 for actor in actors]),
-            StackedLinears.from_layers([actor.fc2 for actor in actors]),
-            StackedLinears.from_layers([actor.out for actor in actors]),
-            np.asarray(
-                [actor.logit_scale for actor in actors], dtype=np.float64
-            )[:, None],
-            len(actors),
-        )
-
-    def forward(self, states: np.ndarray) -> np.ndarray:
-        """One stacked forward for all N tenants (no autograd).
-
-        Per-slice matmuls plus elementwise activations: row ``i`` equals
-        ``actors[i].forward_numpy(states[i][None, :])[0]`` to the ulp.
-        """
-        h = np.maximum(self.fc1.apply(states), 0.0)
-        h = np.maximum(self.fc2.apply(h), 0.0)
-        logits = np.tanh(self.out.apply(h))
-        logits *= self.logit_scale
-        return rowwise_softmax(logits)
 
 
 class Critic(Module):
@@ -203,7 +140,6 @@ class DDPGAgent(BaseAgent):
     """Actor-critic learner for the ensemble-aggregation MDP."""
 
     name = "ddpg"
-    batchable = True
     config_cls = DDPGConfig
 
     def _build(self, init_rng, init_weights: bool) -> None:
@@ -260,44 +196,16 @@ class DDPGAgent(BaseAgent):
         return weights
 
     @staticmethod
-    def stack_actor_params(actors) -> StackedActorParams:
-        """Stack N same-architecture actors for one batched forward.
+    def policy_weights_batch(states: np.ndarray, agents) -> np.ndarray:
+        """``agents[i].policy_weights(states[i])`` for every row.
 
-        The serving layer calls this through the agent *class* (any
-        agent with ``batchable = True`` must provide it together with
-        :meth:`policy_weights_batch`).
+        Nothing in the package calls it. It stays because the ledger's
+        span recorder (``benchmarks/ledger/spans.py``) wraps it by name.
         """
-        return StackedActorParams.from_actors(actors)
-
-    @staticmethod
-    def act_batch(
-        states: np.ndarray, params: StackedActorParams
-    ) -> np.ndarray:
-        """Greedy policy outputs for N ``(state, actor)`` pairs at once.
-
-        ``states`` is ``(N, state_dim)`` aligned with the actors stacked
-        into ``params``; row ``i`` of the result is bit-identical to
-        ``agents[i].act(states[i], explore=False)``. Inference only —
-        exploration noise would consume per-agent RNG draws and cannot
-        be batched without changing the stream.
-        """
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim != 2 or states.shape[0] != params.size:
-            raise DataValidationError(
-                f"states must have shape ({params.size}, state_dim), "
-                f"got {states.shape}"
-            )
-        return params.forward(states)
-
-    @staticmethod
-    def policy_weights_batch(
-        states: np.ndarray, params: StackedActorParams
-    ) -> np.ndarray:
-        """Batched :meth:`policy_weights`: one stacked forward + row-wise
-        simplex projection, bit-identical per row to the serial path."""
-        return project_to_simplex_batch(
-            DDPGAgent.act_batch(states, params)
-        )
+        return np.stack([
+            agent.policy_weights(state)
+            for state, agent in zip(states, agents)
+        ])
 
     # ------------------------------------------------------------------
     def update(self) -> None:

@@ -39,26 +39,6 @@ def project_to_simplex(weights: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def project_to_simplex_batch(weights: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`project_to_simplex`, bit-identical to the loop.
-
-    Every step is elementwise or a contiguous per-row reduction, so each
-    output row equals ``project_to_simplex(weights[i])`` to the ulp —
-    the guarantee the batched serving path relies on.
-    """
-    w = np.maximum(np.asarray(weights, dtype=np.float64), 0.0)
-    if w.ndim != 2:
-        raise DataValidationError(
-            f"expected a 2-D batch of weight vectors, got shape {w.shape}"
-        )
-    totals = w.sum(axis=-1, keepdims=True)
-    degenerate = totals[:, 0] <= 1e-12
-    out = w / np.where(degenerate[:, None], 1.0, totals)
-    if degenerate.any():
-        out[degenerate] = 1.0 / w.shape[-1]
-    return out
-
-
 def euclidean_simplex_projection(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the probability simplex.
 

@@ -11,8 +11,8 @@ process, stdlib + numpy only:
   per-session policy-agent cloning;
 - :class:`SessionStore` — bounded LRU with checkpoint-backed spill to
   disk; eviction + re-admission is bit-identical;
-- :class:`MicroBatcher` — coalesces concurrent one-step requests and
-  fans them through :mod:`repro.runtime.executor`;
+- :class:`MicroBatcher` — bounded admission queue; each dispatch takes
+  whatever one-step requests are queued, without waiting for company;
 - :class:`ForecastService` — the transport-agnostic core with admission
   control, per-request deadlines, and a service circuit breaker;
 - :class:`ShardSupervisor` / :func:`make_service` — supervised shard

@@ -1,8 +1,9 @@
 """Micro-batched request execution with bounded-queue admission control.
 
 Concurrent one-step requests land in a bounded queue; a single collector
-thread coalesces whatever arrives within a small time/size budget
-(``max_wait`` / ``max_batch``) into one batch. Requests carrying a
+thread blocks for the first one, then takes whatever else is already
+queued as one dispatch. It never waits for company, so a lone request
+runs at once, and ``queue_limit`` bounds a dispatch. Requests carrying a
 ``payload`` (the service's ``observe``) go to the ``group_handler`` as
 one list per dispatch; the rest run their ``fn`` through
 :func:`repro.runtime.run_ordered` across the executor's workers.
@@ -92,37 +93,26 @@ def _call_request(fn: Callable[[], Any], ctx=None):
 
 
 class MicroBatcher:
-    """Coalesce concurrent requests into executor-fanned micro-batches."""
+    """Dispatch queued requests together: payloads to the group handler,
+    the rest fanned across the executor."""
 
     def __init__(
         self,
         *,
-        max_batch: int = 16,
-        max_wait: float = 0.002,
         queue_limit: int = 256,
         executor: Optional[ExecutorConfig] = None,
         group_handler: Optional[Callable[[list], list]] = None,
     ):
-        if max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
-        if max_wait < 0:
-            raise ConfigurationError(
-                f"max_wait must be >= 0, got {max_wait}"
-            )
         if queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {queue_limit}"
             )
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.queue_limit = int(queue_limit)
         #: When set, requests submitted with a ``payload`` are handed to
         #: this callable as one list per dispatch (lone payloads
-        #: included) instead of being fanned out one-by-one. The
-        #: handler returns one outcome per payload, aligned by index;
-        #: an exception outcome fails just that request's future.
+        #: included), in arrival order. The handler returns one outcome
+        #: per payload, aligned by index; an exception outcome fails
+        #: just that request's future.
         self.group_handler = group_handler
         self.executor = (
             executor if executor is not None else ExecutorConfig("thread")
@@ -137,11 +127,6 @@ class MicroBatcher:
         # the collector thread; backs the Retry-After hint handed to
         # shed clients (how long until the queue plausibly has room).
         self._drain_rate = 0.0
-        #: Grouped-dispatch tallies (plain attributes so callers can
-        #: assert coalescing without the obs registry): number of
-        #: stacked dispatches and total requests they carried.
-        self.grouped_dispatches = 0
-        self.grouped_requests = 0
         self._worker = threading.Thread(
             target=self._run, name="repro-serving-batcher", daemon=True
         )
@@ -166,8 +151,8 @@ class MicroBatcher:
 
         ``payload`` routes the request to the batcher's
         :attr:`group_handler` instead of ``fn``: all payloads of a
-        dispatch are handed over together so the handler can run them
-        as one pass. Requests without a payload run ``fn``.
+        dispatch are handed over together, in arrival order. Requests
+        without a payload run ``fn``.
         """
         if self._closing.is_set():
             raise ServiceUnavailableError(
@@ -203,26 +188,17 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _collect(self) -> list:
-        """Block for one request, then coalesce within the wait budget."""
+        """Block for one request, then take what is already queued."""
         try:
             first = self._queue.get(timeout=0.05)
         except queue.Empty:
             return []
         batch = [first]
-        horizon = time.monotonic() + self.max_wait
-        while len(batch) < self.max_batch:
-            remaining = horizon - time.monotonic()
-            if remaining <= 0:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            else:
-                try:
-                    batch.append(self._queue.get(timeout=remaining))
-                except queue.Empty:
-                    break
-        return batch
+        while True:
+            try:
+                batch.append(self._queue.get_nowait())
+            except queue.Empty:
+                return batch
 
     def _dispatch(self, batch: list) -> None:
         now = time.monotonic()
@@ -314,12 +290,6 @@ class MicroBatcher:
         values); a handler-level failure fails every grouped future but
         never the collector.
         """
-        self.grouped_dispatches += 1
-        self.grouped_requests += len(grouped)
-        if OBS.enabled:
-            OBS.registry.histogram(
-                "repro_serving_batched_group_size"
-            ).observe(float(len(grouped)))
         try:
             outcomes = self.group_handler(
                 [request.payload for request in grouped]

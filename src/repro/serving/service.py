@@ -28,7 +28,6 @@ a misbehaving client cannot blacken the service for everyone else.
 
 from __future__ import annotations
 
-import contextlib
 import tempfile
 import threading
 import time
@@ -47,7 +46,6 @@ from repro.exceptions import (
     SessionCorruptError,
 )
 from repro.obs import OBS, get_logger, render_prom_text
-from repro.obs.registry import FAST_BUCKETS
 from repro.obs.trace import NOOP_TRACE_SPAN, TRACER
 from repro.runtime import (
     BreakerState,
@@ -78,17 +76,14 @@ class ServiceConfig:
         process restart).
     queue_limit:
         Admission bound: requests beyond this are rejected immediately
-        with :class:`ServiceOverloadedError`.
+        with :class:`ServiceOverloadedError`. It also bounds a
+        micro-batch, which takes whatever is queued and never waits
+        for company; each ``observe`` in it runs the serial
+        :meth:`SeriesSession.observe` step.
     deadline:
         Per-request latency budget in seconds; requests that cannot
         start (or finish) within it fail with
         :class:`DeadlineExceededError`.
-    batch_wait / batch_size:
-        Micro-batch coalescing budget: how long the collector waits for
-        company and the largest batch it forms. Every ``observe`` of a
-        dispatch, a lone one included, runs through one group pass:
-        one pool sweep plus one stacked actor forward per shape group,
-        bit-identical to :meth:`SeriesSession.observe`.
     agent:
         When set, the registry name the served bundle's policy agent
         must carry (e.g. ``"td3"``); a mismatch fails service
@@ -136,8 +131,6 @@ class ServiceConfig:
     spill_dir: Optional[str] = None
     queue_limit: int = 256
     deadline: float = 2.0
-    batch_wait: float = 0.002
-    batch_size: int = 16
     agent: Optional[str] = None
     executor: str = "thread"
     n_jobs: Optional[int] = None
@@ -220,8 +213,6 @@ class ForecastService:
         # accountant's cap, never per raw session id in the registry).
         self.store.restore_listener = self.tenants.record_restore
         self.batcher = MicroBatcher(
-            max_batch=self.config.batch_size,
-            max_wait=self.config.batch_wait,
             queue_limit=self.config.queue_limit,
             executor=ExecutorConfig(self.config.executor, self.config.n_jobs),
             group_handler=self._observe_batch,
@@ -406,212 +397,56 @@ class ForecastService:
         return None
 
     # ------------------------------------------------------------------
-    # Observe: one group pass per coalesced micro-batch
+    # Observe: the serial session step, once per payload
     # ------------------------------------------------------------------
-    def _count_observe_path(
-        self, path: str, reason: Optional[str] = None, n: int = 1
-    ) -> None:
-        if OBS.enabled and n:
-            OBS.registry.counter(
-                "repro_serving_batched_observe_total",
-                {"path": path, "reason": reason or "-"},
-            ).inc(float(n))
-
     def _observe_batch(self, payloads: List[Tuple]) -> list:
-        """Group handler for the micro-batcher's coalesced observes.
+        """Group handler for the micro-batcher's observes.
 
-        The only serving implementation of an Alg. 1 step, for a batch
-        of one as well as many. The batch runs in *waves*: each wave
-        holds at most one request per session id, so repeated ids keep
-        their arrival order (``[A, B, A]`` runs A₁ and B, then A₂).
-        Outcomes are index-aligned; exceptions travel as values.
+        Runs every payload of a dispatch through the serial session step
+        (:meth:`SeriesSession.observe`) in arrival order, so repeated
+        session ids keep their order. Outcomes are index-aligned and
+        exceptions travel as values: one slot's failure (a missing or
+        corrupt session, a stale ``seq``) never touches the others.
         """
-        outcomes: list = [None] * len(payloads)
-        pending = list(range(len(payloads)))
-        while pending:
-            wave, later, seen = [], [], set()
-            for index in pending:
-                sid = payloads[index][0]
-                (later if sid in seen else wave).append(index)
-                seen.add(sid)
-            self._observe_wave(payloads, outcomes, wave)
-            pending = later
+        outcomes: list = []
+        for sid, value, seq in payloads:
+            try:
+                outcomes.append(self._observe_one(sid, value, seq))
+            except BaseException as err:  # noqa: BLE001 - to the future
+                outcomes.append(err)
         return outcomes
 
-    def _observe_wave(
-        self, payloads: List[Tuple], outcomes: list, wave: List[int]
-    ) -> None:
-        """Acquire (pin) and lock every session of one wave, then run one
-        pool + stacked-actor pass per shape group.
-
-        Lock-ordering safety: every thread that locks a session pins it
-        first, and the store's eviction only ever touches *unpinned*
-        sessions, so holding many pinned sessions' locks here cannot
-        deadlock against the store (and ``_admit_locked`` soft-overshoots
-        capacity rather than failing when a whole wave is pinned).
-
-        An acquire failure is that slot's outcome. A corrupt session
-        gets its degraded-mode answer once the wave's locks drop (when
-        ``degraded_mode`` is on); any other error fails its slot only.
-        """
-        corrupt: List[int] = []
-        with contextlib.ExitStack() as stack:
-            groups: Dict[tuple, list] = {}
-            for index in wave:
-                sid = payloads[index][0]
-                try:
-                    session = stack.enter_context(self.store.acquire(sid))
-                    stack.enter_context(session.lock)
-                except SessionCorruptError as err:
-                    if self.config.degraded_mode:
-                        corrupt.append(index)
-                    else:
-                        outcomes[index] = err
-                    continue
-                except BaseException as err:  # noqa: BLE001 - to the future
-                    outcomes[index] = err
-                    continue
-                key = (id(session.pool), session.window, session.n_members)
-                groups.setdefault(key, []).append((index, session))
-            for members in groups.values():
-                self._observe_group(payloads, outcomes, members)
-        for index in corrupt:
-            try:
-                outcomes[index] = self._observe_degraded(*payloads[index])
-            except BaseException as err:  # noqa: BLE001 - to the future
-                outcomes[index] = err
-
-    def _observe_group(
-        self, payloads: List[Tuple], outcomes: list, members: list
-    ) -> None:
-        """One shape group of locked sessions → one stacked forward.
-
-        Bit-identity contract: every numerical step either *is* the
-        serial code (``prepare_forecast``/``apply_forecast``, and the
-        pool's ``predict_next_batch_with_mask``, which loops the serial
-        step) or is the stacked actor forward ``policy_weights_batch``,
-        pinned bitwise-equal to ``policy_weights``. An agent class
-        without a stacked forward (``batchable`` False, e.g. SAC) or a
-        failed stack takes ``policy_weights`` per slot instead.
-        """
-        ready = []
-        for index, session in members:
-            sid, value, seq = payloads[index]
-            try:
-                cached = self._check_seq(session, seq, sid)
-                if cached is not None:
-                    outcomes[index] = cached
-                    continue
-                session.begin_observe(float(value))
-                if session.pool is None:
-                    raise ConfigurationError(
-                        "matrix-mode session needs an explicit "
-                        "prediction_row"
-                    )
-            except BaseException as err:  # noqa: BLE001 - to the future
-                outcomes[index] = err
-                continue
-            ready.append((index, session))
-        if not ready:
-            return
-        rows = masks = None
+    def _observe_one(
+        self, session_id: str, value: float, seq: Optional[int]
+    ) -> Dict[str, Any]:
+        """One Alg. 1 step; a corrupt session gets its degraded-mode
+        answer (when ``degraded_mode`` is on) once its lock drops."""
         try:
-            pool = ready[0][1].pool
-            with TRACER.child_span("pool.eval", sessions=len(ready)):
-                rows, masks = pool.predict_next_batch_with_mask(
-                    [session.history for _, session in ready]
-                )
-        except BaseException:  # noqa: BLE001 - per-session calls surface it
-            rows = None
-        prepared = []
-        for j, (index, session) in enumerate(ready):
-            try:
-                if rows is not None:
-                    scaled_row, healthy = session.prepare_forecast(
-                        rows[j], masks[j]
-                    )
-                else:
-                    values, health = session.pool.predict_next_with_mask(
-                        session.history
-                    )
-                    scaled_row, healthy = session.prepare_forecast(
-                        values, health
-                    )
-                prepared.append((index, session, scaled_row, healthy))
-            except BaseException as err:  # noqa: BLE001 - to the future
-                outcomes[index] = err
-        if not prepared:
-            return
-        weights = None
-        agent_cls = type(prepared[0][1].agent)
-        if not getattr(agent_cls, "batchable", False):
-            # Stochastic policies (SAC) have no stacked deterministic
-            # forward; their sessions call policy_weights per slot below.
-            self._count_observe_path(
-                "fallback", "agent_unbatched", n=len(prepared)
-            )
-        else:
-            try:
-                forward_start = time.perf_counter()
-                with TRACER.child_span(
-                    "actor.forward", sessions=len(prepared)
-                ):
-                    states = np.stack(
-                        [session.state for _, session, _, _ in prepared]
-                    )
-                    params = agent_cls.stack_actor_params(
-                        [session.agent.actor for _, session, _, _ in prepared]
-                    )
-                    weights = agent_cls.policy_weights_batch(states, params)
-                if OBS.enabled:
-                    # Sub-ms ladder: the stacked forward sits well under
-                    # the default grid's 1 ms bucket.
-                    OBS.registry.histogram(
-                        "repro_actor_forward_seconds", {"path": "batched"},
-                        buckets=FAST_BUCKETS,
-                    ).observe(time.perf_counter() - forward_start)
-            except BaseException:  # noqa: BLE001 - heterogeneous agents
-                weights = None
-            if weights is not None:
-                self._count_observe_path("batched", n=len(prepared))
-            else:
-                self._count_observe_path(
-                    "fallback", "stack", n=len(prepared)
-                )
-        for j, (index, session, scaled_row, healthy) in enumerate(prepared):
-            sid, value, seq = payloads[index]
-            try:
-                try:
-                    w = (
-                        weights[j].copy() if weights is not None
-                        else session.agent.policy_weights(session.state)
-                    )
-                    forecast = session.apply_forecast(scaled_row, healthy, w)
-                    response = {
-                        "session": sid,
-                        "forecast": float(forecast),
-                        "step": session.step,
-                        "drift": session.last_drifted,
-                        "policy_update": session.last_update_trigger,
-                        "degraded": False,
-                    }
-                    if seq is not None:
-                        session.ack_seq = seq
-                        session.ack_response = response
-                    if self.config.durable:
-                        # Commit point: acknowledge only once the
-                        # observation (ledger included) hit the spill tier.
-                        self.store.sync(sid)
-                    outcomes[index] = response
-                except SessionCorruptError:
-                    # Same conversion a corrupt acquire gets.
-                    if not self.config.degraded_mode:
-                        raise
-                    outcomes[index] = self._observe_degraded(
-                        sid, value, seq
-                    )
-            except BaseException as err:  # noqa: BLE001 - to the future
-                outcomes[index] = err
+            with self.store.acquire(session_id) as session, session.lock:
+                cached = self._check_seq(session, seq, session_id)
+                if cached is not None:
+                    return cached
+                forecast = session.observe(float(value))
+                response = {
+                    "session": session_id,
+                    "forecast": float(forecast),
+                    "step": session.step,
+                    "drift": session.last_drifted,
+                    "policy_update": session.last_update_trigger,
+                    "degraded": False,
+                }
+                if seq is not None:
+                    session.ack_seq = seq
+                    session.ack_response = response
+                if self.config.durable:
+                    # Commit point: acknowledge only once the observation
+                    # (ledger included) hit the spill tier.
+                    self.store.sync(session_id)
+                return response
+        except SessionCorruptError:
+            if not self.config.degraded_mode:
+                raise
+        return self._observe_degraded(session_id, value, seq)
 
     def predict(
         self, session_id: str, *, deadline=None

@@ -225,14 +225,17 @@ class SeriesSession:
         advance the state window with the (scaled) ensemble output.
         ``mask`` defaults to ``isfinite(prediction_row)``; pool mode
         additionally intersects the pool's health mask.
-
-        Internally split into a pure assembly phase
-        (:meth:`prepare_forecast`), the policy query, and a mutation
-        tail (:meth:`apply_forecast`) so the batched serving path can
-        run one stacked actor forward for many sessions and still be
-        bit-identical to this method.
         """
-        scaled_row, healthy = self.prepare_forecast(prediction_row, mask)
+        row = np.asarray(prediction_row, dtype=np.float64)
+        if row.shape != (self.n_members,):
+            raise DataValidationError(
+                f"prediction row must have shape ({self.n_members},), "
+                f"got {row.shape}"
+            )
+        healthy = np.isfinite(row)
+        if mask is not None:
+            healthy = healthy & np.asarray(mask, dtype=bool)
+        scaled_row = self.scaler.transform(row)
         if TRACER.live:
             weights = self._timed_forward()
         else:
@@ -250,29 +253,9 @@ class SeriesSession:
             weights = self.agent.policy_weights(self._state)
         if OBS.enabled:
             OBS.registry.histogram(
-                "repro_actor_forward_seconds", {"path": "serial"},
-                buckets=FAST_BUCKETS,
+                "repro_actor_forward_seconds", buckets=FAST_BUCKETS,
             ).observe(time.perf_counter() - t0)
         return weights
-
-    def prepare_forecast(
-        self, prediction_row: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pure phase of :meth:`forecast_step`: validate and scale.
-
-        Returns ``(scaled_row, healthy)`` and mutates nothing; the
-        session state is untouched until :meth:`apply_forecast`.
-        """
-        row = np.asarray(prediction_row, dtype=np.float64)
-        if row.shape != (self.n_members,):
-            raise DataValidationError(
-                f"prediction row must have shape ({self.n_members},), "
-                f"got {row.shape}"
-            )
-        healthy = np.isfinite(row)
-        if mask is not None:
-            healthy = healthy & np.asarray(mask, dtype=bool)
-        return self.scaler.transform(row), healthy
 
     def apply_forecast(
         self,
@@ -280,11 +263,9 @@ class SeriesSession:
         healthy: np.ndarray,
         weights: np.ndarray,
     ) -> float:
-        """Mutation tail of :meth:`forecast_step`.
+        """Mutation tail of :meth:`forecast_step`: combine, score, shift.
 
-        ``weights`` must be ``agent.policy_weights(self.state)`` — the
-        caller either computed it per session or took its row of a
-        stacked batched forward (bit-identical by construction).
+        ``weights`` is ``agent.policy_weights(self.state)``.
         """
         scaled_out, weights = combine_masked(
             scaled_row, weights, healthy, self.step

@@ -117,18 +117,6 @@ class TestTD3Semantics:
         assert n_actor == agent.updates_applied // 3
         assert 0 < n_actor < n_critic
 
-    def test_shares_ddpg_stacked_batch_path(self, easy_env):
-        agents = [
-            _trained("td3", easy_env, episodes=1) for _ in range(3)
-        ]
-        states = np.stack([easy_env.reset() for _ in agents])
-        params = TD3Agent.stack_actor_params([a.actor for a in agents])
-        batched = TD3Agent.policy_weights_batch(states, params)
-        for i, agent in enumerate(agents):
-            np.testing.assert_array_equal(
-                batched[i], agent.policy_weights(states[i])
-            )
-
 
 class TestSACSemantics:
     def test_temperature_is_learned(self, easy_env):
@@ -137,11 +125,6 @@ class TestSACSemantics:
         initial = np.log(agent.config.init_alpha)
         assert agent.temperature.log_alpha.data[0] != pytest.approx(initial)
         assert agent.temperature.alpha > 0
-
-    def test_not_batchable(self):
-        assert SACAgent.batchable is False
-        assert DDPGAgent.batchable is True
-        assert TD3Agent.batchable is True
 
     def test_stochastic_exploration_without_noise_process(self, easy_env):
         agent = make_agent("sac", easy_env.state_dim, easy_env.action_dim,

@@ -69,11 +69,24 @@ def bundle(fitted) -> ModelBundle:
     return ModelBundle.from_estimator(fitted, mode="drift")
 
 
+@pytest.fixture(scope="session")
+def agent_bundles(series, bundle):
+    """One fitted bundle per registered agent (``ddpg`` is ``bundle``)."""
+    bundles = {"ddpg": bundle}
+    for name in ("td3", "sac"):
+        model = EADRL(models=cheap_members(),
+                      config=quick_config(agent=name))
+        model.fit(series[:180])
+        bundles[name] = ModelBundle.from_estimator(model, mode="drift")
+    return bundles
+
+
 def batch_subtree_names(assembler, trace) -> set:
     """Span names under the ``batcher.batch`` span a request rode in.
 
     The request's ``batcher.queue`` span links to the dispatch's shared
-    batch span (its own trace); the group pass runs beneath that span.
+    batch span (its own trace); the group handler's session steps run
+    beneath that span.
     """
     queue = [s for s in trace.spans if s.name == "batcher.queue"]
     assert len(queue) == 1

@@ -1,10 +1,8 @@
-"""Serving registry agents: TD3 batching, SAC fallback, spill, startup.
+"""Serving registry agents: cloning, served observes, spill, startup.
 
 The serving layer must treat any registered agent like DDPG: clone it
-per tenant, spill/restore it bit-identically, stack its actor forward
-when its class offers one (`batchable`), and call `policy_weights` per
-session — not fail — when it does not (SAC's policy is a sampled
-Gaussian; there is nothing deterministic to stack).
+per tenant, serve its observes through the same serial session step,
+and spill/restore it bit-identically.
 """
 
 from __future__ import annotations
@@ -12,38 +10,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EADRL
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.obs import OBS, TelemetryConfig
 from repro.serving import (
     ForecastService,
-    ModelBundle,
     ServiceConfig,
     SessionStore,
     make_service,
 )
-from tests.serving.conftest import cheap_members, quick_config
-
-
-@pytest.fixture(scope="module")
-def agent_bundles(series):
-    """One fitted estimator + bundle per registered agent."""
-    bundles = {}
-    for name in ("ddpg", "td3", "sac"):
-        model = EADRL(models=cheap_members(),
-                      config=quick_config(agent=name))
-        model.fit(series[:180])
-        bundles[name] = ModelBundle.from_estimator(model, mode="drift")
-    return bundles
 
 
 def _service(bundle, tmp_path, name, **overrides):
-    config = dict(
-        max_sessions=16,
-        spill_dir=str(tmp_path / name),
-        batch_wait=0.01,
-        batch_size=16,
-    )
+    config = dict(max_sessions=16, spill_dir=str(tmp_path / name))
     config.update(overrides)
     return ForecastService(bundle, ServiceConfig(**config))
 
@@ -87,8 +64,7 @@ class TestBatchedObserveAcrossAgents:
     @pytest.mark.parametrize("name", ["td3", "sac"])
     def test_batched_observe_matches_serial(self, agent_bundles, series,
                                             tmp_path, name):
-        """Group pass (stacked for TD3, per-slot policy for SAC) ≡ the
-        serial step of twin sessions."""
+        """The group handler ≡ the serial step of twin sessions."""
         bundle = agent_bundles[name]
         batched = _service(bundle, tmp_path, f"{name}-batched")
         try:
@@ -106,55 +82,6 @@ class TestBatchedObserveAcrossAgents:
                     assert np.float64(got["forecast"]) == np.float64(want)
         finally:
             batched.shutdown()
-
-    def test_sac_fallback_reason_is_agent_unbatched(self, agent_bundles,
-                                                    series, tmp_path):
-        OBS.configure(TelemetryConfig(enabled=True))
-        try:
-            service = _service(agent_bundles["sac"], tmp_path, "sac-obs")
-            try:
-                ids = ["a", "b", "c"]
-                for sid in ids:
-                    service.create_session(sid, series[:200])
-                service._observe_batch(
-                    [(sid, float(series[200]), None) for sid in ids]
-                )
-                fallback = OBS.registry.counter(
-                    "repro_serving_batched_observe_total",
-                    {"path": "fallback", "reason": "agent_unbatched"},
-                )
-                assert fallback.value == len(ids)
-                batched = OBS.registry.counter(
-                    "repro_serving_batched_observe_total",
-                    {"path": "batched", "reason": "-"},
-                )
-                assert batched.value == 0
-            finally:
-                service.shutdown()
-        finally:
-            OBS.shutdown()
-
-    def test_td3_takes_the_stacked_path(self, agent_bundles, series,
-                                        tmp_path):
-        OBS.configure(TelemetryConfig(enabled=True))
-        try:
-            service = _service(agent_bundles["td3"], tmp_path, "td3-obs")
-            try:
-                ids = ["a", "b", "c"]
-                for sid in ids:
-                    service.create_session(sid, series[:200])
-                service._observe_batch(
-                    [(sid, float(series[200]), None) for sid in ids]
-                )
-                batched = OBS.registry.counter(
-                    "repro_serving_batched_observe_total",
-                    {"path": "batched", "reason": "-"},
-                )
-                assert batched.value == len(ids)
-            finally:
-                service.shutdown()
-        finally:
-            OBS.shutdown()
 
 
 class TestSpillBitIdentityAcrossAgents:

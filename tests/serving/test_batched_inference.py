@@ -1,13 +1,13 @@
-"""The service's group pass vs the serial session step.
+"""Served observes vs the serial session step, for every agent.
 
-Every served ``observe`` runs through ``ForecastService._observe_batch``.
-It must be a pure performance transform of ``SeriesSession.observe``:
-byte-for-byte the same forecasts, session steps and checkpoint arrays as
-twin sessions built with ``ModelBundle.create_session`` and stepped one
-at a time. Repeated session ids run in waves (arrival order kept),
-acquire failures are per-slot outcomes, and a stack construction failure
-takes the per-slot policy call. Comparisons are bitwise — ``==`` /
-``array_equal`` — never ``allclose``.
+Every served ``observe`` runs through ``ForecastService._observe_batch``,
+a loop of ``SeriesSession.observe`` over the dispatch in arrival order.
+It must give byte-for-byte the same forecasts, session steps and
+checkpoint arrays as twin sessions built with
+``ModelBundle.create_session`` and stepped one at a time, for DDPG, TD3
+and SAC alike. Repeated session ids keep their arrival order, and a
+missing or corrupt session fails or degrades only its own slot.
+Comparisons are bitwise — ``==`` / ``array_equal`` — never ``allclose``.
 """
 
 from __future__ import annotations
@@ -17,25 +17,25 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exceptions import SessionNotFoundError
+from repro.exceptions import SessionCorruptError, SessionNotFoundError
 from repro.serving import ForecastService, ServiceConfig
 from repro.testing import corrupt_all_snapshots
 
 
+@pytest.fixture(params=["ddpg", "td3", "sac"])
+def agent_bundle(request, agent_bundles):
+    return agent_bundles[request.param]
+
+
 def make_service(bundle, tmp_path, name, **overrides):
-    config = dict(
-        max_sessions=16,
-        spill_dir=str(tmp_path / name),
-        batch_wait=0.01,
-        batch_size=16,
-    )
+    config = dict(max_sessions=16, spill_dir=str(tmp_path / name))
     config.update(overrides)
     return ForecastService(bundle, ServiceConfig(**config))
 
 
 @pytest.fixture
-def service(bundle, tmp_path):
-    svc = make_service(bundle, tmp_path, "batched")
+def service(agent_bundle, tmp_path):
+    svc = make_service(agent_bundle, tmp_path, "served")
     yield svc
     svc.shutdown()
 
@@ -68,7 +68,7 @@ def assert_checkpoints_equal(service, twins):
 
 
 def concurrent_observe(service, ids, value):
-    """Submit one observe per session at the same instant (coalesces)."""
+    """Submit one observe per session at the same instant."""
     out, errors = {}, []
     barrier = threading.Barrier(len(ids))
 
@@ -90,12 +90,12 @@ def concurrent_observe(service, ids, value):
 
 class TestBitIdentity:
     def test_concurrent_batched_matches_serial_with_drift_updates(
-        self, service, bundle, series
+        self, service, agent_bundle, series
     ):
         """Lockstep fleets; a level shift forces drift-triggered policy
-        updates mid-run, so batches straddle weight changes."""
+        updates mid-run, so dispatches straddle weight changes."""
         ids = [f"t-{i}" for i in range(6)]
-        twins = open_sessions(service, bundle, ids, series[:200])
+        twins = open_sessions(service, agent_bundle, ids, series[:200])
         saw_update = False
         for step in range(25):
             value = float(series[200 + step])
@@ -106,53 +106,37 @@ class TestBitIdentity:
                 assert_matches_twin(out[sid], twins[sid], value)
                 saw_update = saw_update or out[sid]["policy_update"]
         assert saw_update, "level shift never triggered a policy update"
-        assert service.batcher.grouped_requests == 25 * len(ids)
         assert_checkpoints_equal(service, twins)
 
     def test_singleton_request_runs_through_group(
-        self, service, bundle, series
+        self, service, agent_bundle, series
     ):
-        """A lone observe takes the group pass, bitwise equal to the
-        serial step over many steps."""
-        twins = open_sessions(service, bundle, ["solo"], series[:200])
+        """A lone observe is one dispatch of the group handler, bitwise
+        equal to the serial step over many steps."""
+        twins = open_sessions(service, agent_bundle, ["solo"], series[:200])
         steps = 30
         for step in range(steps):
             value = float(series[200 + step])
             resp = service.observe("solo", value)
             assert_matches_twin(resp, twins["solo"], value)
-        assert service.batcher.grouped_dispatches == steps
-        assert service.batcher.grouped_requests == steps
+        assert service.batcher.batches == steps
         assert_checkpoints_equal(service, twins)
 
 
 class TestFallbacks:
-    """Drive ``_observe_batch`` directly: deterministic batch shapes."""
+    """Drive ``_observe_batch`` directly: deterministic dispatches."""
 
     def test_duplicate_session_ids_serialise_in_arrival_order(
-        self, service, bundle, series, monkeypatch
+        self, service, agent_bundle, series
     ):
-        waves = []
-        run_wave = service._observe_wave
-
-        def counting(payloads, outcomes, wave):
-            waves.append([payloads[i][0] for i in wave])
-            return run_wave(payloads, outcomes, wave)
-
-        monkeypatch.setattr(service, "_observe_wave", counting)
-        cases = [
-            (["dup", "other", "dup"], [["dup", "other"], ["dup"]]),
-            (["A", "B", "A", "A"], [["A", "B"], ["A"], ["A"]]),
-        ]
-        for order, expected_waves in cases:
-            waves.clear()
+        for order in (["dup", "other", "dup"], ["A", "B", "A", "A"]):
             twins = open_sessions(
-                service, bundle, sorted(set(order)), series[:200]
+                service, agent_bundle, sorted(set(order)), series[:200]
             )
             values = [float(series[200 + k]) for k in range(len(order))]
             outcomes = service._observe_batch(
                 [(sid, v, None) for sid, v in zip(order, values)]
             )
-            assert waves == expected_waves
             # Bit-identical to the twins fed the same arrival order.
             for got, sid, value in zip(outcomes, order, values):
                 assert_matches_twin(got, twins[sid], value)
@@ -164,26 +148,53 @@ class TestFallbacks:
             assert_checkpoints_equal(service, twins)
 
     def test_missing_session_fails_only_its_request(
-        self, service, series
+        self, service, agent_bundle, series
     ):
-        service.create_session("alive", series[:200])
+        twins = open_sessions(service, agent_bundle, ["alive"], series[:200])
+        value = float(series[200])
         outcomes = service._observe_batch([
-            ("alive", float(series[200]), None),
-            ("ghost", float(series[200]), None),
+            ("ghost", value, None),
+            ("alive", value, None),
         ])
-        assert outcomes[0]["session"] == "alive"
-        assert isinstance(outcomes[1], SessionNotFoundError)
+        assert isinstance(outcomes[0], SessionNotFoundError)
+        assert_matches_twin(outcomes[1], twins["alive"], value)
 
     def test_degraded_session_takes_fallback_path(
-        self, bundle, tmp_path, series
+        self, agent_bundle, tmp_path, series
     ):
         spill = tmp_path / "degraded"
         service = make_service(
-            bundle, tmp_path, "degraded", degraded_mode=True
+            agent_bundle, tmp_path, "degraded", degraded_mode=True
         )
         try:
             twins = open_sessions(
-                service, bundle, ["victim", "h1", "h2"], series[:200]
+                service, agent_bundle, ["victim", "h1", "h2"], series[:200]
+            )
+            assert service.store.spill_all() >= 1
+            assert corrupt_all_snapshots(spill / "victim") >= 1
+            value = float(series[200])
+            outcomes = service._observe_batch([
+                ("h1", value, None),
+                ("victim", value, None),
+                ("h2", value, None),
+            ])
+            assert outcomes[1]["degraded"] is True
+            for got, sid in zip(outcomes[::2], ("h1", "h2")):
+                assert got["degraded"] is False
+                assert_matches_twin(got, twins[sid], value)
+        finally:
+            service.shutdown()
+
+    def test_corrupt_session_fails_only_its_slot_without_degraded_mode(
+        self, agent_bundle, tmp_path, series
+    ):
+        spill = tmp_path / "strict"
+        service = make_service(
+            agent_bundle, tmp_path, "strict", degraded_mode=False
+        )
+        try:
+            twins = open_sessions(
+                service, agent_bundle, ["victim", "h1"], series[:200]
             )
             assert service.store.spill_all() >= 1
             assert corrupt_all_snapshots(spill / "victim") >= 1
@@ -191,37 +202,11 @@ class TestFallbacks:
             outcomes = service._observe_batch([
                 ("victim", value, None),
                 ("h1", value, None),
-                ("h2", value, None),
             ])
-            assert outcomes[0]["degraded"] is True
-            for got, sid in zip(outcomes[1:], ("h1", "h2")):
-                assert got["degraded"] is False
-                assert_matches_twin(got, twins[sid], value)
+            assert isinstance(outcomes[0], SessionCorruptError)
+            assert_matches_twin(outcomes[1], twins["h1"], value)
         finally:
             service.shutdown()
-
-    def test_stack_failure_falls_back_bit_identical(
-        self, service, bundle, series, monkeypatch
-    ):
-        """A stacked-pass construction failure must degrade to the
-        per-slot policy call, not to wrong answers."""
-        ids = [f"s-{i}" for i in range(4)]
-        twins = open_sessions(service, bundle, ids, series[:200])
-
-        from repro.rl import DDPGAgent
-
-        def unstackable(actors):
-            raise RuntimeError("heterogeneous agents")
-
-        monkeypatch.setattr(
-            DDPGAgent, "stack_actor_params", staticmethod(unstackable)
-        )
-        value = float(series[200])
-        outcomes = service._observe_batch(
-            [(sid, value, None) for sid in ids]
-        )
-        for got, sid in zip(outcomes, ids):
-            assert_matches_twin(got, twins[sid], value)
 
     def test_seq_idempotency_through_batched_path(self, service, series):
         service.create_session("seq", series[:200])
@@ -233,3 +218,5 @@ class TestFallbacks:
             first["forecast"]
         )
         assert replay["step"] == first["step"]
+        second = service._observe_batch([("seq", value, 2)])[0]
+        assert second["step"] == first["step"] + 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 
@@ -17,7 +18,7 @@ from repro.serving import MicroBatcher
 
 @pytest.fixture()
 def batcher():
-    b = MicroBatcher(max_batch=8, max_wait=0.01, queue_limit=64)
+    b = MicroBatcher(queue_limit=64)
     yield b
     b.close()
 
@@ -44,41 +45,52 @@ class TestDispatch:
         assert ok2.result(timeout=5) == "also fine"
 
     def test_concurrent_submits_coalesce(self):
-        """Requests arriving together ride in shared batches."""
-        batcher = MicroBatcher(max_batch=8, max_wait=0.1, queue_limit=64)
-        start = threading.Barrier(12)
-        futures = []
-        lock = threading.Lock()
+        """Requests queued while a dispatch runs ride in the next one."""
+        batcher = MicroBatcher(queue_limit=64)
+        entered, release = threading.Event(), threading.Event()
 
-        def submit_one(i):
-            start.wait()
-            f = batcher.submit(lambda i=i: i)
-            with lock:
-                futures.append(f)
+        def hold():
+            entered.set()
+            return release.wait(timeout=5)
 
-        threads = [
-            threading.Thread(target=submit_one, args=(i,))
-            for i in range(12)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
         try:
-            assert sorted(f.result(timeout=5) for f in futures) == list(
-                range(12)
-            )
-            # 12 near-simultaneous requests need far fewer than 12
-            # batches given the generous coalescing window.
-            assert batcher.batches < 12
+            blocker = batcher.submit(hold)
+            assert entered.wait(timeout=5)  # collector is inside it
+            queued = [batcher.submit(lambda i=i: i) for i in range(12)]
+            release.set()
+            assert blocker.result(timeout=5) is True
+            assert [f.result(timeout=5) for f in queued] == list(range(12))
+            assert batcher.batches == 2
         finally:
+            release.set()
             batcher.close()
+
+    def test_lone_request_is_dispatched_without_waiting(self):
+        """After the first request, the collector only takes what is
+        already queued: it never blocks for company."""
+
+        class SpyQueue(queue.Queue):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def get(self, block=True, timeout=None):
+                self.calls.append(block)
+                return super().get(block, timeout)
+
+        batcher = MicroBatcher(queue_limit=8)
+        batcher.close()  # stop the collector; drive _collect by hand
+        spy = batcher._queue = SpyQueue()
+        spy.put("only")
+        assert batcher._collect() == ["only"]
+        assert spy.calls[0] is True  # the wait for the first request
+        assert True not in spy.calls[1:]
 
 
 class TestBackpressure:
     def test_queue_full_sheds_with_overload_error(self):
         release = threading.Event()
-        batcher = MicroBatcher(max_batch=1, max_wait=0.0, queue_limit=2)
+        batcher = MicroBatcher(queue_limit=2)
         try:
             # Jam the collector with a blocking request, then fill the
             # queue; the next submit must be rejected immediately.
@@ -96,7 +108,7 @@ class TestBackpressure:
 
     def test_expired_deadline_is_shed_at_dispatch(self):
         release = threading.Event()
-        batcher = MicroBatcher(max_batch=1, max_wait=0.0, queue_limit=8)
+        batcher = MicroBatcher(queue_limit=8)
         try:
             blocker = batcher.submit(release.wait)
             time.sleep(0.05)
@@ -111,7 +123,7 @@ class TestBackpressure:
             batcher.close()
 
     def test_already_expired_absolute_deadline_shed_at_submit(self):
-        batcher = MicroBatcher(max_batch=1, max_wait=0.0, queue_limit=8)
+        batcher = MicroBatcher(queue_limit=8)
         try:
             # An absolute expires_at in the past never takes a queue
             # slot — the submit itself raises.
@@ -124,7 +136,7 @@ class TestBackpressure:
             batcher.close()
 
     def test_absolute_deadline_wins_over_relative(self):
-        batcher = MicroBatcher(max_batch=4, max_wait=0.0, queue_limit=8)
+        batcher = MicroBatcher(queue_limit=8)
         try:
             # Generous relative budget, expired absolute instant: the
             # absolute one (the propagated end-to-end deadline) rules.
@@ -145,7 +157,7 @@ class TestBackpressure:
 
 class TestClose:
     def test_close_drains_pending_work(self):
-        batcher = MicroBatcher(max_batch=4, max_wait=0.05, queue_limit=64)
+        batcher = MicroBatcher(queue_limit=64)
         futures = [batcher.submit(lambda i=i: i) for i in range(10)]
         batcher.close()
         assert [f.result(timeout=1) for f in futures] == list(range(10))
@@ -172,7 +184,7 @@ class TestRetryAfter:
             batcher.close()
 
     def test_shed_error_carries_drain_rate_hint(self):
-        batcher = MicroBatcher(max_batch=1, max_wait=0.0, queue_limit=1)
+        batcher = MicroBatcher(queue_limit=1)
         release = threading.Event()
         try:
             blocker = batcher.submit(release.wait)
@@ -188,7 +200,7 @@ class TestRetryAfter:
             batcher.close()
 
     def test_drain_rate_ewma_tracks_throughput(self):
-        batcher = MicroBatcher(max_batch=8, max_wait=0.0, queue_limit=64)
+        batcher = MicroBatcher(queue_limit=64)
         try:
             futures = [batcher.submit(lambda: 1) for _ in range(32)]
             for future in futures:

@@ -152,8 +152,6 @@ class TestErrorMapping:
                 max_sessions=8,
                 spill_dir=str(tmp_path),
                 queue_limit=1,
-                batch_size=1,
-                batch_wait=0.0,
                 deadline=5.0,
             ),
         )
