@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -41,7 +42,6 @@ from repro.evaluation import ProtocolConfig
 from repro.evaluation.protocol import prepare_dataset
 from repro.obs import MemorySink, configure, shutdown, OBS
 from repro.rl.ddpg import DDPGConfig
-from repro.runtime.executor import available_workers
 
 import tempdirs
 
@@ -111,9 +111,10 @@ def main(argv=None) -> int:
     if args.quick:
         args.rounds = min(args.rounds, 3)
     run = prepare_dataset(args.dataset, protocol)
+    cores = len(os.sched_getaffinity(0))
     print(f"dataset={args.dataset} episodes={protocol.episodes} "
           f"iterations={protocol.max_iterations} every={args.every} "
-          f"rounds={args.rounds} cores={available_workers()}")
+          f"rounds={args.rounds} cores={cores}")
 
     workdir = Path(tempdirs.mkdtemp("bench-checkpoint-"))
     plain_s = ckpt_s = float("inf")
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
         "checkpoint_every": args.every,
         "rounds": args.rounds,
         "quick": args.quick,
-        "cpu_count": available_workers(),
+        "cpu_count": cores,
         "python": platform.python_version(),
         "plain_seconds": plain_s,
         "checkpointed_seconds": ckpt_s,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import threading
@@ -56,7 +57,6 @@ from repro.models.base import (
 )
 from repro.models.ets import SimpleExpSmoothing
 from repro.rl.ddpg import DDPGConfig
-from repro.runtime.executor import available_workers
 from repro.serving import (
     ForecastHTTPServer,
     ForecastService,
@@ -469,8 +469,9 @@ def main(argv=None) -> int:
         args.steps = min(args.steps, 10)
         args.max_resident = min(args.max_resident, 16)
 
+    cores = len(os.sched_getaffinity(0))
     print(f"sessions={args.sessions} steps={args.steps} "
-          f"max_resident={args.max_resident} cores={available_workers()}")
+          f"max_resident={args.max_resident} cores={cores}")
 
     t0 = time.perf_counter()
     bundle, series = make_bundle()
@@ -542,7 +543,7 @@ def main(argv=None) -> int:
     result = {
         "bench": "serving",
         "quick": args.quick,
-        "cpu_count": available_workers(),
+        "cpu_count": cores,
         "python": platform.python_version(),
         "fit_seconds": fit_seconds,
         "load": load,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -39,7 +40,6 @@ from repro.core import EADRL, EADRLConfig
 from repro.core.eadrl import _make_reward
 from repro.obs import JsonlSink, MemorySink, configure, shutdown
 from repro.rl.mdp import Transition
-from repro.runtime.executor import available_workers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_telemetry.json"
@@ -196,8 +196,9 @@ def main(argv=None) -> int:
         shutdown()
         return out
 
+    cores = len(os.sched_getaffinity(0))
     print(f"steps={args.steps} members={args.members} rounds={args.rounds} "
-          f"cores={available_workers()}")
+          f"cores={cores}")
 
     # Bit-identity first (untimed): the instrumented loop with telemetry
     # off must reproduce the reference loop exactly.
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
         "members": args.members,
         "rounds": args.rounds,
         "quick": args.quick,
-        "cpu_count": available_workers(),
+        "cpu_count": cores,
         "python": platform.python_version(),
         "reference_seconds": reference_s,
         "reference_us_per_step": reference_s / args.steps * 1e6,

@@ -39,14 +39,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                              "ddpg (paper default), td3, sac, or any name "
                              "registered via repro.rl.agents (validated "
                              "against the registry, exit 2 on unknown)")
-    parser.add_argument("--executor", choices=("serial", "thread"),
-                        default="serial",
-                        help="pool execution backend (default serial; "
-                             "thread fans the members out over --jobs "
-                             "workers with bit-identical output)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count for --executor thread "
-                             "(default: all available cores)")
 
 
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -109,8 +101,6 @@ def _protocol(args) -> "ProtocolConfig":
         max_iterations=args.iterations,
         seed=args.seed,
         agent=args.agent,
-        executor=args.executor,
-        n_jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -158,8 +148,6 @@ def cmd_forecast(args) -> int:
             agent=args.agent,
             ddpg=DDPGConfig(seed=args.seed),
             runtime_guards=guards,
-            executor=args.executor,
-            n_jobs=args.jobs,
             checkpoint=_checkpoint(args),
         ),
     )
@@ -168,7 +156,7 @@ def cmd_forecast(args) -> int:
     matrix = model.pool.prediction_matrix(series, train.size)
     print(f"EA-DRL RMSE : {rmse(preds, test):.4f}")
     print(f"uniform RMSE: {rmse(matrix.mean(axis=1), test):.4f}")
-    if args.guard or args.executor != "serial":
+    if args.guard:
         # One coherent report: guard counters and per-member fit/predict
         # timings share the same lines (PoolHealth.report).
         print(model.health().report())
@@ -254,8 +242,6 @@ def cmd_serve(args) -> int:
             max_iterations=args.iterations,
             agent=args.agent,
             ddpg=DDPGConfig(seed=args.seed),
-            executor=args.executor,
-            n_jobs=args.jobs,
         ),
     )
     model.fit(train)
@@ -270,7 +256,6 @@ def cmd_serve(args) -> int:
         spill_dir=args.spill_dir,
         queue_limit=args.queue_limit,
         deadline=args.deadline,
-        n_jobs=args.jobs,
         shards=args.shards,
         durable=args.durable,
         trace_dir=args.trace_dir,

@@ -8,7 +8,7 @@ from typing import Any, Optional
 from repro.exceptions import ConfigurationError
 from repro.obs import TelemetryConfig
 from repro.rl.ddpg import DDPGConfig
-from repro.runtime import CheckpointConfig, ExecutorConfig, RuntimeGuardConfig
+from repro.runtime import CheckpointConfig, RuntimeGuardConfig
 
 #: DDPG hyper-parameters whose meaning is agent-independent: when no
 #: explicit ``agent_config`` is given, these carry over from the nested
@@ -24,7 +24,6 @@ _SHARED_AGENT_FIELDS = frozenset({
 __all__ = [
     "CheckpointConfig",
     "EADRLConfig",
-    "ExecutorConfig",
     "RuntimeGuardConfig",
     "TelemetryConfig",
 ]
@@ -71,20 +70,12 @@ class EADRLConfig:
         circuit breakers, and graceful degradation with healthy-member
         weight renormalisation. ``None`` (default) keeps the paper's
         fail-fast behaviour.
-    executor:
-        Backend for the pool's per-member fan-outs — ``"serial"``
-        (default) or ``"thread"`` — realising the paper's
-        "trained in parallel and separately" with bit-identical output
-        under every backend (see :mod:`repro.runtime.executor` and
-        ``docs/performance.md``).
-    n_jobs:
-        Worker count for the parallel backends (``None`` = all cores).
     telemetry:
         When set, constructing an :class:`~repro.core.EADRL` activates
         the process-global observability session (:mod:`repro.obs`) with
         these switches: training episodes, online forecasting steps,
-        pool fan-outs, and executor queue/work times are recorded into
-        the metrics registry and streamed to the configured sinks.
+        and pool fan-outs are recorded into the metrics registry and
+        streamed to the configured sinks.
         ``None`` (default) leaves telemetry untouched — every
         instrumented call site stays on its no-op fast path. The session
         is process-global: flush output files with
@@ -112,8 +103,6 @@ class EADRLConfig:
     agent_config: Optional[Any] = None
     ddpg: DDPGConfig = field(default_factory=DDPGConfig)
     runtime_guards: Optional[RuntimeGuardConfig] = None
-    executor: str = "serial"
-    n_jobs: Optional[int] = None
     telemetry: Optional[TelemetryConfig] = None
     checkpoint: Optional[CheckpointConfig] = None
 
@@ -143,7 +132,6 @@ class EADRLConfig:
             self.telemetry.validate()
         if self.checkpoint is not None:
             self.checkpoint.validate()
-        ExecutorConfig(backend=self.executor, n_jobs=self.n_jobs).validate()
         self.ddpg.validate()
         # Unknown names raise ConfigurationError listing the registry.
         from repro.rl.agents import get_agent_spec

@@ -135,8 +135,6 @@ class EADRL:
         self.pool = ForecasterPool(
             models,
             guard_config=self.config.runtime_guards,
-            executor=self.config.executor,
-            n_jobs=self.config.n_jobs,
         )
         self.agent: Optional[AgentProtocol] = None
         self._checkpoint_manager: Optional[CheckpointManager] = None

@@ -47,15 +47,11 @@ class ProtocolConfig:
     neural_epochs: int = 40
     seed: int = 0
     agent: str = "ddpg"
-    executor: str = "serial"
-    n_jobs: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 50
     resume: bool = False
 
     def validate(self) -> None:
-        from repro.runtime.executor import ExecutorConfig
-
         if self.series_length < 100:
             raise ConfigurationError(
                 f"series_length must be >= 100 for the protocol, "
@@ -65,7 +61,6 @@ class ProtocolConfig:
             raise ConfigurationError(
                 f"train_fraction must be in [0.5, 1), got {self.train_fraction}"
             )
-        ExecutorConfig(backend=self.executor, n_jobs=self.n_jobs).validate()
         config = self.checkpoint_config()
         if config is not None:
             config.validate()
@@ -125,9 +120,7 @@ def prepare_dataset(
             embedding_dimension=config.embedding_dimension,
             seed=config.seed,
             neural_epochs=config.neural_epochs,
-        ),
-        executor=config.executor,
-        n_jobs=config.n_jobs,
+        )
     )
     pool_cut = max(
         int(round(train.size * config.pool_train_fraction)),

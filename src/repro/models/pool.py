@@ -9,18 +9,19 @@ generate a pool of 43 single base models"). Three sizes are provided:
 - ``"small"`` — 8 fast models (no sequence networks), for tests and
   quick experiments.
 
-:class:`ForecasterPool` fits every member independently ("trained in
-parallel and separately from each other to maximize diversity"), drops
-members whose training fails, and produces the prequential prediction
-matrix every combiner in this library consumes.
+:class:`ForecasterPool` fits every member independently, one after
+another in member order (the paper's "trained in parallel and separately
+from each other to maximize diversity" is about independence: no member
+sees another's output), drops members whose training fails, and produces
+the prequential prediction matrix every combiner in this library
+consumes.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 import warnings
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,57 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only. The runtime import
     # is deferred at runtime: repro.runtime.guards subclasses Forecaster,
     # so a module-scope import here would make models <-> runtime circular.
     from repro.runtime import PoolHealth, RuntimeGuardConfig
-    from repro.runtime.executor import ExecutorConfig
-
-
-# ----------------------------------------------------------------------
-# Worker tasks for the parallel executor. Each returns its own wall-clock
-# compute time so the pool can populate PoolHealth.timings() without
-# counting scheduling overhead.
-# ----------------------------------------------------------------------
-def _fit_member_task(member: Forecaster, array: np.ndarray):
-    """Fit one member; returns ``(member, error_or_None, elapsed)``.
-
-    Failures are *returned*, not raised, mirroring the drop-on-failure
-    semantics of the serial fit loop (the caller records ``dropped_`` in
-    member order).
-    """
-    t0 = time.perf_counter()
-    try:
-        member.fit(array)
-        return member, None, time.perf_counter() - t0
-    except Exception as exc:  # noqa: BLE001 - pool must stay robust
-        return member, (type(exc).__name__, str(exc)), time.perf_counter() - t0
-
-
-def _rolling_member_task(
-    member: Forecaster, array: np.ndarray, start: int, guarded: bool
-):
-    """One prequential column; returns ``(member, column, mask, elapsed)``.
-
-    Guarded members degrade internally and never raise; unguarded members
-    propagate their exception (fail-fast, matching the serial path — the
-    ordered result gather re-raises the first failure in member order).
-    """
-    t0 = time.perf_counter()
-    if guarded:
-        column, mask = member.guarded_rolling(array, start)
-    else:
-        column = np.asarray(
-            member.rolling_predictions(array, start), dtype=np.float64
-        )
-        mask = None
-    return member, column, mask, time.perf_counter() - t0
-
-
-def _one_step_task(member: Forecaster, history: np.ndarray, guarded: bool):
-    """One online one-step query; returns ``(value, healthy, elapsed)``."""
-    t0 = time.perf_counter()
-    if guarded:
-        value, healthy = member.guarded_predict(history)
-    else:
-        value, healthy = float(member.predict_next(history)), True
-    return value, healthy, time.perf_counter() - t0
 
 
 def build_pool(
@@ -271,6 +221,10 @@ def build_pool_for_series(
 class ForecasterPool:
     """The trained pool ``M`` plus its prequential prediction matrix.
 
+    Every fan-out (fit, prediction matrix, online one-step query) is one
+    loop over the members in member order, so predictions, masks, drops
+    and health events are deterministic.
+
     Parameters
     ----------
     models:
@@ -290,18 +244,6 @@ class ForecasterPool:
     health:
         Existing registry to report into (used by :meth:`subset` so a
         pruned pool shares its parent's health history).
-    executor:
-        Backend for the pool's per-member fan-outs: ``"serial"``
-        (default; bit-identical to the pre-executor behaviour),
-        ``"thread"``, or a
-        :class:`~repro.runtime.executor.ExecutorConfig`. Worker results
-        are merged deterministically in member order, so predictions,
-        masks, and health events are identical under every backend and
-        worker count. The online one-step path
-        (:meth:`predict_next_with_mask`) reuses one cached thread pool
-        across steps.
-    n_jobs:
-        Worker count for the parallel backends (``None`` = all cores).
 
     Attributes
     ----------
@@ -315,17 +257,12 @@ class ForecasterPool:
         models: Sequence[Forecaster],
         guard_config: Optional["RuntimeGuardConfig"] = None,
         health: Optional["PoolHealth"] = None,
-        executor: Union["ExecutorConfig", str, None] = None,
-        n_jobs: Optional[int] = None,
     ):
         from repro.runtime import GuardedForecaster, PoolHealth
-        from repro.runtime.executor import coerce_executor
 
         if not models:
             raise ConfigurationError("pool must contain at least one model")
         self._guard_config = guard_config
-        self._executor = coerce_executor(executor, n_jobs)
-        self._online_pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._health = health if health is not None else PoolHealth()
         members = list(models)
         if guard_config is not None:
@@ -356,11 +293,6 @@ class ForecasterPool:
         """Whether members are wrapped in runtime guards."""
         return self._guard_config is not None
 
-    @property
-    def executor_config(self) -> "ExecutorConfig":
-        """The pool's execution-engine configuration."""
-        return self._executor
-
     def health(self) -> "PoolHealth":
         """The pool's health registry.
 
@@ -371,123 +303,45 @@ class ForecasterPool:
         return self._health
 
     # ------------------------------------------------------------------
-    # Executor plumbing
-    # ------------------------------------------------------------------
-    def _use_parallel(self) -> bool:
-        return self._executor.parallel and len(self._models) > 1
-
-    def _scatter_scratch_health(self) -> None:
-        """Give every guarded member a private scratch registry.
-
-        Workers record into their scratch; :meth:`_gather_member` merges
-        the scratches back into the shared registry in member order, so
-        the shared event logs are identical to a serial run.
-        """
-        from repro.runtime import PoolHealth
-
-        for member in self._models:
-            member.swap_health(PoolHealth())
-
-    def _restore_shared_health(self) -> None:
-        for member in self._models:
-            member.swap_health(self._health)
-
-    def _gather_member(self, index: int, member: Forecaster) -> None:
-        """Adopt one worker result (in member order).
-
-        The member's scratch registry is replayed into the shared one
-        and the member is re-pointed at it. The identity check keeps a
-        member that already reports into the shared registry from being
-        merged twice.
-        """
-        if self._guard_config is not None and member.health is not self._health:
-            self._health.merge_from(member.health)
-            member.swap_health(self._health)
-        self._models[index] = member
-
-    def _online_executor(self) -> concurrent.futures.ThreadPoolExecutor:
-        """Cached thread pool for the latency-sensitive online path."""
-        if self._online_pool is None:
-            self._online_pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(self._executor.resolved_jobs(), len(self._models)),
-                thread_name_prefix="repro-pool",
-            )
-        return self._online_pool
-
-    def close(self) -> None:
-        """Release the cached online thread pool (idempotent)."""
-        if self._online_pool is not None:
-            self._online_pool.shutdown(wait=False)
-            self._online_pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001 - never raise from a finaliser
-            pass
-
-    # ------------------------------------------------------------------
     def fit(self, train_series: np.ndarray) -> "ForecasterPool":
         """Fit all members on the training series; drop failing members.
 
         Dropped members are recorded in :attr:`dropped_` as
-        ``(name, exception_type, message)`` tuples. Under a parallel
-        executor the members train concurrently; results (survivors,
-        drops, health events, warnings) are merged in member order so the
-        outcome is identical to a serial fit.
+        ``(name, exception_type, message)`` tuples; each member's fit
+        time goes to :meth:`health`.
         """
         array = validate_series(train_series, min_length=10)
         survivors: List[Forecaster] = []
         self.dropped_ = []
-        parallel = self._use_parallel()
         with OBS.span("pool.fit"):
-            if parallel:
-                outcomes = self._parallel_fit(array)
-            else:
-                outcomes = [
-                    _fit_member_task(model, array) for model in self._models
-                ]
-            for i, (member, error, elapsed) in enumerate(outcomes):
-                if parallel:
-                    self._gather_member(i, member)
-                self._health.record_timing(member.name, "fit", elapsed)
+            for member in self._models:
+                t0 = time.perf_counter()
+                try:
+                    member.fit(array)
+                    error = None
+                except Exception as exc:  # noqa: BLE001 - pool must stay robust
+                    error = exc
+                self._health.record_timing(
+                    member.name, "fit", time.perf_counter() - t0
+                )
                 if error is None:
                     survivors.append(member)
-                else:
-                    self.dropped_.append((member.name, error[0], error[1]))
-                    warnings.warn(
-                        f"dropping pool member {member.name!r} "
-                        f"({error[0]}): {error[1]}",
-                        stacklevel=2,
-                    )
+                    continue
+                kind = type(error).__name__
+                self.dropped_.append((member.name, kind, str(error)))
+                warnings.warn(
+                    f"dropping pool member {member.name!r} ({kind}): {error}",
+                    stacklevel=2,
+                )
         if not survivors:
             raise DataValidationError("every pool member failed to fit")
         self._models = survivors
         self._fitted = True
-        _LOG.debug("pool fit: %d survivors, %d dropped (%s backend)",
-                   len(survivors), len(self.dropped_), self._executor.backend)
+        _LOG.debug("pool fit: %d survivors, %d dropped",
+                   len(survivors), len(self.dropped_))
         if OBS.enabled:
             self._health.publish_metrics(OBS.registry)
         return self
-
-    def _parallel_fit(self, array: np.ndarray) -> list:
-        from repro.runtime.executor import run_ordered
-
-        if self._guard_config is not None:
-            self._scatter_scratch_health()
-        try:
-            return run_ordered(
-                _fit_member_task,
-                [(member, array) for member in self._models],
-                self._executor,
-                task_names=[member.name for member in self._models],
-            )
-        except BaseException:
-            # Engine-level failure: no outcomes will be gathered, so make
-            # sure no member is left reporting into a scratch registry.
-            if self._guard_config is not None:
-                self._restore_shared_health()
-            raise
 
     def prediction_matrix(self, series: np.ndarray, start: int) -> np.ndarray:
         """One-step predictions of every member for ``t in [start, n)``.
@@ -514,52 +368,27 @@ class ForecasterPool:
         if not self._fitted:
             raise DataValidationError("pool must be fitted before predicting")
         guarded = self._guard_config is not None
+        array = np.asarray(series, dtype=np.float64) if guarded else series
+        columns, masks = [], []
         with OBS.span("pool.prediction_matrix"):
-            if self._use_parallel():
-                outcomes = self._parallel_rolling(series, start, guarded)
-            else:
-                array = (
-                    np.asarray(series, dtype=np.float64) if guarded else series
+            for member in self._models:
+                t0 = time.perf_counter()
+                if guarded:
+                    column, mask = member.guarded_rolling(array, start)
+                else:
+                    column = np.asarray(
+                        member.rolling_predictions(array, start),
+                        dtype=np.float64,
+                    )
+                    mask = np.ones(column.shape, dtype=bool)
+                self._health.record_timing(
+                    member.name, "predict", time.perf_counter() - t0
                 )
-                outcomes = [
-                    _rolling_member_task(member, array, start, guarded)
-                    for member in self._models
-                ]
-            columns, masks = [], []
-            parallel = self._use_parallel()
-            for i, (member, column, mask, elapsed) in enumerate(outcomes):
-                if parallel:
-                    self._gather_member(i, member)
-                self._health.record_timing(member.name, "predict", elapsed)
                 columns.append(column)
-                masks.append(
-                    mask if mask is not None
-                    else np.ones(column.shape, dtype=bool)
-                )
+                masks.append(mask)
         if OBS.enabled:
             self._health.publish_metrics(OBS.registry)
         return np.column_stack(columns), np.column_stack(masks)
-
-    def _parallel_rolling(self, series: np.ndarray, start: int, guarded: bool):
-        from repro.runtime.executor import run_ordered
-
-        array = np.asarray(series, dtype=np.float64)
-        if guarded:
-            self._scatter_scratch_health()
-        try:
-            return run_ordered(
-                _rolling_member_task,
-                [(member, array, start, guarded) for member in self._models],
-                self._executor,
-                task_names=[member.name for member in self._models],
-            )
-        except BaseException:
-            # Either an unguarded member failed fast (matching serial
-            # semantics: the first failure in member order is re-raised)
-            # or the engine itself broke; leave no scratch registries.
-            if guarded:
-                self._restore_shared_health()
-            raise
 
     def predict_next(self, history: np.ndarray) -> np.ndarray:
         """Vector of one-step forecasts (one per member)."""
@@ -578,8 +407,6 @@ class ForecasterPool:
         """
         if not self._fitted:
             raise DataValidationError("pool must be fitted before predicting")
-        if self._use_parallel():
-            return self._parallel_predict_next(history)
         if self._guard_config is None:
             values = np.array([m.predict_next(history) for m in self._models])
             return values, np.ones(values.shape, dtype=bool)
@@ -597,63 +424,13 @@ class ForecasterPool:
 
         Returns ``(matrix, mask)`` of shape ``(len(histories), m)``;
         row ``i`` is ``predict_next_with_mask(histories[i])``, which this
-        method calls in a loop, so guards, executors and bit-identity
-        are exactly those of the single-history step.
+        method calls in a loop, so guards and bit-identity are exactly
+        those of the single-history step.
         """
         values = np.empty((len(histories), len(self._models)))
         mask = np.empty((len(histories), len(self._models)), dtype=bool)
         for i, history in enumerate(histories):
             values[i], mask[i] = self.predict_next_with_mask(history)
-        return values, mask
-
-    def _parallel_predict_next(
-        self, history: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Online fan-out over the cached *thread* pool.
-
-        The pool is created once and reused across steps, so the
-        per-step latency the online phase exists to protect carries no
-        executor start-up cost. Guarded members record into scratch registries that are merged in
-        member order after every step, keeping the shared event log
-        identical to a serial run.
-        """
-        guarded = self._guard_config is not None
-        history = np.asarray(history, dtype=np.float64)
-        pool = self._online_executor()
-        if guarded:
-            self._scatter_scratch_health()
-        instrumented = OBS.enabled
-        if instrumented:
-            from repro.runtime.executor import record_task_timing, timed_call
-
-            futures = [
-                pool.submit(
-                    timed_call, _one_step_task,
-                    (member, history, guarded), time.perf_counter(),
-                )
-                for member in self._models
-            ]
-        else:
-            futures = [
-                pool.submit(_one_step_task, member, history, guarded)
-                for member in self._models
-            ]
-        try:
-            results = [future.result() for future in futures]
-        except BaseException:
-            if guarded:
-                self._restore_shared_health()
-            raise
-        values = np.empty(len(self._models))
-        mask = np.zeros(len(self._models), dtype=bool)
-        for i, member in enumerate(list(self._models)):
-            self._gather_member(i, member)
-            if instrumented:
-                (values[i], mask[i], elapsed), wait, work = results[i]
-                record_task_timing("thread", member.name, wait, work)
-            else:
-                values[i], mask[i], elapsed = results[i]
-            self._health.record_timing(member.name, "predict", elapsed)
         return values, mask
 
     def max_min_context(self) -> int:
@@ -677,7 +454,6 @@ class ForecasterPool:
             [self._models[i] for i in indices],
             guard_config=self._guard_config,
             health=self._health,
-            executor=self._executor,
         )
         pruned._fitted = self._fitted
         return pruned

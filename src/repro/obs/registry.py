@@ -214,8 +214,8 @@ class MetricsRegistry:
     """Get-or-create store of instruments, safe under concurrent writers.
 
     All instruments created by one registry share its re-entrant lock, so
-    snapshotting is consistent with respect to in-flight updates from the
-    thread executor backend.
+    snapshotting is consistent with respect to in-flight updates from
+    other threads (HTTP handlers, the batcher's collector).
     """
 
     def __init__(

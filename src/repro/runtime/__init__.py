@@ -13,16 +13,14 @@ degradation instead:
   :meth:`repro.models.ForecasterPool.health`;
 - :func:`renormalise_healthy` — simplex renormalisation of a policy's
   weight vector over the currently healthy members;
-- :class:`ExecutorConfig` / :func:`run_ordered`
-  (:mod:`repro.runtime.executor`) — the pluggable serial/thread
-  execution engine behind the pool's per-member fan-outs;
 - :class:`CheckpointManager` / :class:`CheckpointConfig`
   (:mod:`repro.runtime.checkpoint`) — atomic, checksummed snapshots of
   the full training/online state with corruption quarantine and
   bit-exact resume.
 
-See ``docs/robustness.md`` for the fault model and guarantees, and
-``docs/performance.md`` for executor backend selection.
+See ``docs/robustness.md`` for the fault model and guarantees. The pool
+runs its per-member fan-outs as one serial loop in member order;
+``docs/performance.md`` records why there is no parallel backend.
 """
 
 from repro.runtime.breaker import BreakerState, CircuitBreaker
@@ -36,12 +34,6 @@ from repro.runtime.checkpoint import (
 from repro.runtime.config import RuntimeGuardConfig
 from repro.runtime.deadline import Deadline, coerce_deadline
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.executor import (
-    ExecutorConfig,
-    available_workers,
-    coerce_executor,
-    run_ordered,
-)
 from repro.runtime.guards import (
     GuardedForecaster,
     combine_masked,
@@ -60,7 +52,6 @@ __all__ = [
     "CheckpointManager",
     "CircuitBreaker",
     "Deadline",
-    "ExecutorConfig",
     "LoopCheckpointer",
     "Snapshot",
     "TrainingCheckpointer",
@@ -71,10 +62,7 @@ __all__ = [
     "RetryPolicy",
     "RuntimeGuardConfig",
     "TransitionEvent",
-    "available_workers",
     "coerce_deadline",
-    "coerce_executor",
     "combine_masked",
     "renormalise_healthy",
-    "run_ordered",
 ]

@@ -145,20 +145,6 @@ class GuardedForecaster(Forecaster):
         state["_executor"] = None
         return state
 
-    def swap_health(self, health: PoolHealth) -> PoolHealth:
-        """Re-point this guard's registry; returns the previous one.
-
-        Used by the parallel pool paths to give each worker task a
-        private scratch registry whose events are merged back into the
-        shared one in member order (deterministic event logs under any
-        backend). The breaker's transition callback reads
-        ``self.health`` at call time, so swapping the attribute is
-        sufficient.
-        """
-        previous = self.health
-        self.health = health
-        return previous
-
     # ------------------------------------------------------------------
     # Forecaster interface
     # ------------------------------------------------------------------

@@ -8,12 +8,8 @@ renders the operator-facing report surfaced by ``repro.cli forecast
 --guard``.
 
 The registry is thread-safe: every mutator and reader takes an internal
-re-entrant lock, so guarded members running under the thread backend of
-:mod:`repro.runtime.executor` can report concurrently. The parallel pool
-paths additionally keep event *ordering* deterministic by giving each
-worker a private scratch registry and replaying it into the shared one in
-member order via :meth:`PoolHealth.merge_from` — see
-``ForecasterPool.fit``.
+re-entrant lock. A served pool is shared between the HTTP threads that
+create sessions and the batcher's collector thread that steps them.
 """
 
 from __future__ import annotations
@@ -150,41 +146,12 @@ class PoolHealth:
                 record.predict_seconds += seconds
 
     # ------------------------------------------------------------------
-    def merge_from(self, other: "PoolHealth") -> None:
-        """Replay another registry's records into this one.
-
-        The parallel pool paths hand each worker a private scratch
-        registry and merge the scratch registries back **in member
-        order**, which makes the shared registry's event logs identical
-        to a serial run regardless of backend or worker count. Counters
-        and timings are added; breaker state follows the replayed
-        transitions; ``last_error`` is taken from ``other`` when set.
-        """
-        with self._lock:
-            for record in other.members:
-                mine = self.member(record.name)
-                mine.calls += record.calls
-                mine.successes += record.successes
-                mine.failures += record.failures
-                mine.fallbacks += record.fallbacks
-                mine.skips += record.skips
-                mine.fit_seconds += record.fit_seconds
-                mine.predict_seconds += record.predict_seconds
-                if record.last_error:
-                    mine.last_error = record.last_error
-            self.failures.extend(other.failures)
-            for event in other.transitions:
-                self.transitions.append(event)
-                self.member(event.member).state = event.new_state
-
-    # ------------------------------------------------------------------
     def timings(self) -> List[dict]:
         """Per-member wall-clock telemetry (stable registration order).
 
-        ``fit_seconds`` and ``predict_seconds`` accumulate the time spent
-        inside the member's training and prediction fan-out tasks (worker
-        compute only — executor scheduling and pickling overhead are
-        excluded). Populated for guarded *and* unguarded pools.
+        ``fit_seconds`` and ``predict_seconds`` accumulate the time the
+        pool spent inside the member's training and prequential
+        prediction calls. Populated for guarded *and* unguarded pools.
         """
         with self._lock:
             return [

@@ -5,8 +5,8 @@ thread blocks for the first one, then takes whatever else is already
 queued as one dispatch. It never waits for company, so a lone request
 runs at once, and ``queue_limit`` bounds a dispatch. Requests carrying a
 ``payload`` (the service's ``observe``) go to the ``group_handler`` as
-one list per dispatch; the rest run their ``fn`` through
-:func:`repro.runtime.run_ordered` across the executor's workers.
+one list per dispatch; the rest run their ``fn`` one after another, in
+arrival order, on the collector thread.
 
 Backpressure is explicit and immediate:
 
@@ -35,7 +35,6 @@ from repro.exceptions import (
 )
 from repro.obs import OBS, get_logger
 from repro.obs.trace import NEW_TRACE, TRACER
-from repro.runtime import ExecutorConfig, run_ordered
 
 _LOG = get_logger("serving.batcher")
 
@@ -59,7 +58,7 @@ class _Request:
         self.deadline = deadline
         # Trace propagation across the queue hop: the submitting
         # thread's ambient context travels with the request so the
-        # collector/executor threads keep the causal chain.
+        # collector thread keeps the causal chain.
         self.trace_ctx = TRACER.current() if TRACER.enabled else None
         self.enqueued_at = time.time() if self.trace_ctx is not None else 0.0
         if expires_at is not None:
@@ -70,37 +69,30 @@ class _Request:
             )
 
 
-class _Failure:
-    """Wrapper carrying an exception through ``run_ordered`` results."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException):
-        self.error = error
-
-
-def _call_request(fn: Callable[[], Any], ctx=None):
+def _run_single(request: _Request) -> None:
     # One failing request must not poison its batch-mates.
     try:
-        if ctx is not None and TRACER.enabled:
-            # Executor thread hop: reinstate the request's context so
+        if request.trace_ctx is not None and TRACER.enabled:
+            # Collector thread hop: reinstate the request's context so
             # store/pool/actor child spans land in its trace.
-            with TRACER.span("batcher.exec", parent=ctx):
-                return fn()
-        return fn()
+            with TRACER.span("batcher.exec", parent=request.trace_ctx):
+                result = request.fn()
+        else:
+            result = request.fn()
     except BaseException as err:  # noqa: BLE001 - transported to the future
-        return _Failure(err)
+        request.future.set_exception(err)
+    else:
+        request.future.set_result(result)
 
 
 class MicroBatcher:
     """Dispatch queued requests together: payloads to the group handler,
-    the rest fanned across the executor."""
+    the rest one by one on the collector thread."""
 
     def __init__(
         self,
         *,
         queue_limit: int = 256,
-        executor: Optional[ExecutorConfig] = None,
         group_handler: Optional[Callable[[list], list]] = None,
     ):
         if queue_limit < 1:
@@ -114,9 +106,6 @@ class MicroBatcher:
         #: per payload, aligned by index; an exception outcome fails
         #: just that request's future.
         self.group_handler = group_handler
-        self.executor = (
-            executor if executor is not None else ExecutorConfig("thread")
-        )
         self._queue: "queue.Queue[_Request]" = queue.Queue(
             maxsize=queue_limit
         )
@@ -258,17 +247,8 @@ class MicroBatcher:
         def execute() -> None:
             if grouped:
                 self._dispatch_grouped(grouped)
-            if singles:
-                results = run_ordered(
-                    _call_request,
-                    [(request.fn, request.trace_ctx) for request in singles],
-                    self.executor,
-                )
-                for request, result in zip(singles, results):
-                    if isinstance(result, _Failure):
-                        request.future.set_exception(result.error)
-                    else:
-                        request.future.set_result(result)
+            for request in singles:
+                _run_single(request)
 
         t0 = time.monotonic()
         if batch_span is not None:
@@ -305,9 +285,7 @@ class MicroBatcher:
                 request.future.set_exception(err)
             return
         for request, outcome in zip(grouped, outcomes):
-            if isinstance(outcome, _Failure):
-                request.future.set_exception(outcome.error)
-            elif isinstance(outcome, BaseException):
+            if isinstance(outcome, BaseException):
                 request.future.set_exception(outcome)
             else:
                 request.future.set_result(outcome)
@@ -320,8 +298,8 @@ class MicroBatcher:
             try:
                 self._dispatch(batch)
             except BaseException as err:  # noqa: BLE001 - keep serving
-                # A dispatch-level failure (executor refusal, ...) fails
-                # the whole batch but must not kill the collector.
+                # A dispatch-level failure (tracing, bookkeeping, ...)
+                # fails the whole batch but must not kill the collector.
                 _LOG.error("batch dispatch failed: %s", err)
                 for request in batch:
                     if not request.future.done():

@@ -51,7 +51,6 @@ from repro.runtime import (
     BreakerState,
     CircuitBreaker,
     Deadline,
-    ExecutorConfig,
     coerce_deadline,
 )
 from repro.serving.batcher import MicroBatcher
@@ -89,12 +88,13 @@ class ServiceConfig:
         must carry (e.g. ``"td3"``); a mismatch fails service
         construction with :class:`ConfigurationError` instead of
         surfacing at the first observe. ``None`` serves any bundle.
-    executor / n_jobs:
-        In-process batcher backend fanning ``predict`` calls across
-        sessions (``"serial"`` or ``"thread"``,
-        :class:`repro.runtime.ExecutorConfig` semantics).
-        ``"process"`` is accepted only beside ``shards >= 1``, where it
-        has no effect: shard workers always run ``"thread"``.
+    executor:
+        Selects nothing: every request runs serially on the batcher's
+        collector thread, and ``shards`` alone picks the shard runtime.
+        The field stays only so existing callers that pass
+        ``"serial"``, ``"thread"`` or ``"process"`` keep working (the
+        ledger benchmark's server does); ``"process"`` is accepted only
+        beside ``shards >= 1``.
     shards:
         Number of supervised shard worker processes. ``0`` (the
         default) serves in-process (:class:`ForecastService`); ``> 0``
@@ -133,7 +133,6 @@ class ServiceConfig:
     deadline: float = 2.0
     agent: Optional[str] = None
     executor: str = "thread"
-    n_jobs: Optional[int] = None
     shards: int = 0
     durable: bool = False
     degraded_mode: bool = True
@@ -155,14 +154,16 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"shards must be >= 0, got {self.shards}"
             )
-        if self.executor == "process":
-            if self.shards < 1:
-                raise ConfigurationError(
-                    "executor='process' is no backend of its own: set "
-                    "shards >= 1 to select the shard runtime"
-                )
-        else:
-            ExecutorConfig(self.executor, self.n_jobs).validate()
+        if self.executor not in ("serial", "thread", "process"):
+            raise ConfigurationError(
+                f"executor must be 'serial', 'thread' or 'process', "
+                f"got {self.executor!r}"
+            )
+        if self.executor == "process" and self.shards < 1:
+            raise ConfigurationError(
+                "executor='process' is no backend of its own: set "
+                "shards >= 1 to select the shard runtime"
+            )
         if self.breaker_threshold < 1 or self.breaker_cooldown < 1:
             raise ConfigurationError(
                 "breaker_threshold and breaker_cooldown must be >= 1"
@@ -214,7 +215,6 @@ class ForecastService:
         self.store.restore_listener = self.tenants.record_restore
         self.batcher = MicroBatcher(
             queue_limit=self.config.queue_limit,
-            executor=ExecutorConfig(self.config.executor, self.config.n_jobs),
             group_handler=self._observe_batch,
         )
         self.breaker = CircuitBreaker(

@@ -3,7 +3,7 @@
 The supervised shard runtime (:mod:`repro.serving.supervisor`) spawns N
 worker *processes*, each running this module's :func:`worker_main` loop:
 a full in-process :class:`~repro.serving.service.ForecastService`
-(thread executor, durable write-through) behind a pickled-dict RPC over
+(durable write-through) behind a pickled-dict RPC over
 a :func:`multiprocessing.Pipe`. Process isolation is the point — a
 worker segfault, OOM kill, or ``SIGKILL`` takes down only its shard's
 resident sessions, all of which are recoverable from the shard's spill

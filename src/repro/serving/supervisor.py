@@ -279,9 +279,10 @@ class ShardSupervisor:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _worker_config(self, shard: _Shard) -> ServiceConfig:
-        # Workers always run durable thread-executor services: the
+        # Workers always run durable in-process services: the
         # ack-after-checkpoint write-through is what makes failover
-        # lossless for acknowledged observations. ``trace_dir`` rides
+        # lossless for acknowledged observations. ``executor`` selects
+        # nothing, but a worker's ``shards=0`` would reject "process". ``trace_dir`` rides
         # along via ``replace``; workers get a registry-only telemetry
         # session whenever the supervisor's is live (or tracing is on)
         # so ``/metrics`` can merge every shard's snapshot.

@@ -5,8 +5,7 @@ The headline guarantee of ``repro.runtime.checkpoint``: a run killed at
 resumed from its newest valid snapshot produces output bit-identical to
 a run that was never interrupted. Kills are injected deterministically
 with :class:`repro.testing.TornWriter` at parametrized write indices,
-covering DDPG training, all four online forecast loops, and every
-executor backend.
+covering DDPG training and all four online forecast loops.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ def _members():
     ]
 
 
-def _config(checkpoint=None, executor="serial", n_jobs=None,
-            agent="ddpg") -> EADRLConfig:
+def _config(checkpoint=None, agent="ddpg") -> EADRLConfig:
     return EADRLConfig(
         window=8,
         episodes=EPISODES,
@@ -46,8 +44,6 @@ def _config(checkpoint=None, executor="serial", n_jobs=None,
         agent=agent,
         ddpg=DDPGConfig(seed=0, warmup_steps=16, batch_size=8),
         checkpoint=checkpoint,
-        executor=executor,
-        n_jobs=n_jobs,
     )
 
 
@@ -196,19 +192,15 @@ class TestOnlineLoopResume:
 
 
 class TestSeriesLoopsAcrossExecutors:
-    """Series-level loops (pool in the loop) under every backend."""
+    """Series-level loops (pool in the loop)."""
 
-    @pytest.mark.parametrize("executor,n_jobs", [
-        ("serial", None), ("thread", 2),
-    ])
-    def test_rolling_forecast_resumes(self, series, tmp_path, executor,
-                                      n_jobs):
+    def test_rolling_forecast_resumes(self, series, tmp_path):
         start = 150
 
         def fitted(checkpoint=None) -> EADRL:
             model = EADRL(
                 models=_members(),
-                config=_config(checkpoint, executor=executor, n_jobs=n_jobs),
+                config=_config(checkpoint),
             )
             model.fit(series[:start])
             return model

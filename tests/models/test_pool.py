@@ -274,3 +274,121 @@ class TestPredictNextBatch:
         pool = ForecasterPool(build_pool("small")).fit(short_series[:150])
         mask = self._assert_rows_match(pool, pool, short_series)
         assert mask.all()
+
+
+def _fanout_series(n: int = 160) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    t = np.arange(n, dtype=np.float64)
+    return np.sin(2 * np.pi * t / 12) + 0.02 * t + 0.3 * rng.normal(size=n)
+
+
+def _fanout_members():
+    from repro.models.base import NaiveForecaster, SeasonalNaiveForecaster
+    from repro.models.ets import SimpleExpSmoothing
+    from repro.models.projection import RidgeForecaster
+    from repro.models.tree import DecisionTreeForecaster
+
+    return [
+        NaiveForecaster(),
+        MeanForecaster(),
+        SeasonalNaiveForecaster(12),
+        SimpleExpSmoothing(),
+        RidgeForecaster(5, alpha=1.0),
+        DecisionTreeForecaster(5, max_depth=4),
+    ]
+
+
+def _faulted_members():
+    """Two deterministic troublemakers in the middle of the pool."""
+    from repro.testing import FailureSchedule, FlakyForecaster, NaNForecaster
+
+    members = _fanout_members()
+    # flaky member fails long enough to trip its breaker mid-matrix
+    members[2] = FlakyForecaster(members[2], FailureSchedule.window(118, 128))
+    # NaN member poisons two isolated steps (retried, then fallback-filled)
+    members[4] = NaNForecaster(members[4], FailureSchedule.at(121, 130))
+    return members
+
+
+def _run_fanouts(members, guard=None):
+    """Fit, prediction matrix and one online step over the same series."""
+    series = _fanout_series()
+    pool = ForecasterPool(members, guard_config=guard)
+    pool.fit(series[:110])
+    matrix, mask = pool.prediction_matrix_with_mask(series, 115)
+    values, vmask = pool.predict_next_with_mask(series[:140])
+    return pool, (matrix, mask, values, vmask)
+
+
+def _health_snapshot(pool):
+    health = pool.health()
+    return {
+        "summary": health.summary(),
+        "failures": [(e.member, e.step, e.kind) for e in health.failures],
+        "transitions": [
+            (e.member, e.step, e.old_state.value, e.new_state.value)
+            for e in health.transitions
+        ],
+        "quarantined": health.quarantined(),
+    }
+
+
+class TestPoolTimings:
+    def test_timings_populated_without_guards(self):
+        pool, _ = _run_fanouts(_fanout_members())
+        rows = pool.health().timings()
+        assert [r["member"] for r in rows] == pool.names
+        assert all(r["fit_seconds"] >= 0.0 for r in rows)
+        assert all(r["predict_seconds"] >= 0.0 for r in rows)
+
+
+class TestGuardedFaults:
+    @pytest.fixture(scope="class")
+    def guard(self):
+        from repro.runtime import RuntimeGuardConfig
+
+        # no timeouts: wall-clock budgets are the one load-dependent
+        # guard feature
+        return RuntimeGuardConfig(timeout=None, max_retries=1,
+                                  failure_threshold=3, cooldown_steps=5)
+
+    def test_breaker_opened_and_recovered(self, guard):
+        pool, (_, mask, _, _) = _run_fanouts(_faulted_members(), guard)
+        snapshot = _health_snapshot(pool)
+        assert not mask.all()
+        flaky = [s for s in snapshot["summary"]
+                 if s["member"].startswith("flaky")]
+        assert flaky and flaky[0]["failures"] > 0
+        states = [t[3] for t in snapshot["transitions"]]
+        assert "open" in states
+        # the window ends, a half-open probe succeeds and the breaker closes
+        assert states[-1] == "closed"
+        assert flaky[0]["state"] == "closed"
+
+    def test_faulted_run_is_deterministic(self, guard):
+        first, outputs = _run_fanouts(_faulted_members(), guard)
+        second, again = _run_fanouts(_faulted_members(), guard)
+        for a, b in zip(outputs, again):
+            np.testing.assert_array_equal(a, b)
+        assert _health_snapshot(first) == _health_snapshot(second)
+
+
+class TestEADRLDeterminism:
+    """End-to-end: fit + rolling_forecast reproduce bit for bit."""
+
+    @staticmethod
+    def _forecast():
+        from repro.core import EADRL, EADRLConfig
+        from repro.rl.ddpg import DDPGConfig
+
+        series = _fanout_series(200)
+        model = EADRL(
+            models=_fanout_members(),
+            config=EADRLConfig(episodes=2, max_iterations=10,
+                               ddpg=DDPGConfig(seed=3)),
+        )
+        model.fit(series[:150])
+        return model.rolling_forecast(series, start=150)
+
+    def test_rolling_forecast_bit_identical(self):
+        np.testing.assert_array_equal(self._forecast(), self._forecast())

@@ -40,6 +40,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="shards"):
             ServiceConfig(executor="process", shards=0).validate()
         ServiceConfig(executor="process", shards=2).validate()
+        # The field selects nothing, but unknown names are still refused.
+        with pytest.raises(ConfigurationError, match="executor"):
+            ServiceConfig(executor="gpu").validate()
 
     def test_forecast_service_rejects_shards(self, bundle):
         with pytest.raises(ConfigurationError, match="make_service"):

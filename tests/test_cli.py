@@ -33,7 +33,8 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["serve", "--shards", "auto"],
         ["serve", "--min-shards", "2"],
-        ["forecast", "--executor", "process"],
+        ["forecast", "--executor", "thread"],
+        ["forecast", "--jobs", "2"],
     ])
     def test_removed_options_rejected(self, argv):
         with pytest.raises(SystemExit):
