@@ -24,8 +24,9 @@ end to end. A distributed-tracing phase follows: the 4-shard supervised
 runtime is driven over HTTP with tracing on, the per-process JSONL
 trace files are assembled, and every observe trace must cover >= 95%
 of its request wall time with spans from both sides of the process
-boundary (frontend and shard worker), coalesced requests linking to
-their shared batch span (gated in both modes). Results land in
+boundary (frontend and shard worker), in one tree that holds the
+request's own ``pool.eval`` and ``actor.forward`` (gated in both
+modes). Results land in
 ``BENCH_serving.json`` (plus the raw ``BENCH_serving_traces.jsonl``
 artifact) for CI upload.
 
@@ -191,8 +192,8 @@ def check_batched_bit_identity(
     A service and one twin session per tenant (built with
     ``bundle.create_session``, stepped by ``SeriesSession.observe``) are
     driven in lockstep: every step, all tenants submit concurrently to
-    the service (the micro-batcher hands what is queued to the group
-    handler as one dispatch) and serially to their twins. Forecasts are compared
+    the service (its admission gate runs them one at a time, each on
+    its caller's thread) and serially to their twins. Forecasts are compared
     bitwise per step, and at the end every checkpoint array of every
     session (policy network parameters, replay ring, state window, RNG
     state) must match to the byte.
@@ -248,17 +249,13 @@ def check_batched_bit_identity(
                     not np.array_equal(arrays1[key], arrays2[key])
                 ):
                     state_mismatches += 1
-        # Every request here is an observe, so every dispatch went to
-        # the group handler.
-        grouped_dispatches = service.batcher.batches
-        grouped_requests = sessions * steps - len(failures)
+        served_requests = sessions * steps - len(failures)
     finally:
         service.shutdown()
     return {
         "sessions": sessions,
         "steps": steps,
-        "grouped_dispatches": int(grouped_dispatches),
-        "grouped_requests": int(grouped_requests),
+        "served_requests": int(served_requests),
         "forecast_mismatches": forecast_mismatches,
         "state_mismatches": state_mismatches,
         "request_failures": len(failures),
@@ -267,9 +264,21 @@ def check_batched_bit_identity(
             forecast_mismatches == 0
             and state_mismatches == 0
             and len(failures) == 0
-            and grouped_dispatches > 0
+            and served_requests > 0
         ),
     }
+
+
+def _is_one_tree(trace) -> bool:
+    """One root, no orphaned span, and the served work (``pool.eval``,
+    ``actor.forward``, any ``store.*``) inside the request's own tree."""
+    roots = [s for s in trace.spans if s.parent_id is None]
+    names = {s.name for s in trace.spans}
+    return (
+        trace.orphans == 0
+        and len(roots) == 1
+        and {"pool.eval", "actor.forward"} <= names
+    )
 
 
 def check_trace_coverage(
@@ -287,8 +296,8 @@ def check_trace_coverage(
     ``trace_dir`` set, drives concurrent observes (one with a pinned
     ``X-Trace-Id``), then assembles the per-process trace files and
     checks that every observe trace covers >= 95% of its request wall
-    time, crosses the frontend/worker process boundary, and that
-    coalesced requests link to a shared batch span.
+    time, crosses the frontend/worker process boundary, and is one tree
+    holding its own served work.
     """
     from repro.obs import assemble_trace_dir, iter_trace_records
     from repro.serving import make_service
@@ -365,7 +374,7 @@ def check_trace_coverage(
     coverages = [t.coverage() for t in observes]
     worst = min(coverages) if coverages else 0.0
     cross_process = sum(1 for t in observes if len(t.processes) >= 2)
-    batch_linked = sum(1 for t in observes if t.batch_links())
+    one_tree = sum(1 for t in observes if _is_one_tree(t))
     if artifact is not None:
         files = sorted(Path(trace_dir).glob("*.jsonl"))
         with artifact.open("w", encoding="utf-8") as handle:
@@ -383,7 +392,7 @@ def check_trace_coverage(
             sum(coverages) / len(coverages) if coverages else 0.0
         ),
         "cross_process_traces": cross_process,
-        "batch_linked_traces": batch_linked,
+        "one_tree_traces": one_tree,
         "pinned_trace_found": assembler.trace(pinned_id) is not None,
         "trace_id_echoed": echoed,
         "spans_dropped": assembler.spans_dropped,
@@ -395,7 +404,7 @@ def check_trace_coverage(
         and len(observes) > 0
         and worst >= 0.95
         and cross_process == len(observes)
-        and batch_linked >= 1
+        and one_tree == len(observes)
         and result["pinned_trace_found"]
         and echoed
         and assembler.spans_dropped == 0
@@ -517,7 +526,7 @@ def main(argv=None) -> int:
         steps=15 if args.quick else 30,
     )
     print(f"served bit-identity: "
-          f"grouped_dispatches={batched['grouped_dispatches']} "
+          f"served_requests={batched['served_requests']} "
           f"forecast_mismatches={batched['forecast_mismatches']} "
           f"state_mismatches={batched['state_mismatches']}")
 
@@ -534,7 +543,7 @@ def main(argv=None) -> int:
           f"(observe_traces={trace['observe_traces']} "
           f"min={trace['coverage_min']:.3f} "
           f"mean={trace['coverage_mean']:.3f} "
-          f"batch_linked={trace['batch_linked_traces']})")
+          f"one_tree={trace['one_tree_traces']})")
 
     all_served = load["requests_failed"] == 0 and (
         load["requests_completed"]
@@ -578,7 +587,7 @@ def main(argv=None) -> int:
     if not trace["ok"]:
         failed.append(
             "distributed-trace phase failed (coverage < 95%, missing "
-            "cross-process spans, or unlinked coalesced requests)"
+            "cross-process spans, or an observe trace in several trees)"
         )
     if not args.quick and args.sessions < MIN_SESSIONS_FULL:
         failed.append(

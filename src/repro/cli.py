@@ -296,7 +296,7 @@ def cmd_trace(args) -> int:
         if trace is None:
             print(f"trace {args.trace_id} not found", file=sys.stderr)
             return 1
-        print(trace.render(assembler))
+        print(trace.render())
         return 0
     report = assembler.report(root_name=args.root, limit=args.limit)
     if args.json:
@@ -309,7 +309,7 @@ def cmd_trace(args) -> int:
             if t.root is not None and t.root.name == args.root
         ]
     for trace in traces[:args.limit]:
-        print(trace.render(assembler))
+        print(trace.render())
         print()
     print(f"{report['n_traces']} trace(s) from {report['files_read']} "
           f"file(s); {report['spans_dropped']} span(s) dropped, "
@@ -402,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="checkpoint directory for evicted sessions "
                               "(default: fresh temp dir)")
     p_serve.add_argument("--queue-limit", type=int, default=256,
-                         help="admission bound: requests beyond this get "
-                              "HTTP 429; a micro-batch takes whatever is "
-                              "queued, never waiting (default 256)")
+                         help="admission bound: a request that finds "
+                              "this many waiting gets HTTP 429 "
+                              "(default 256)")
     p_serve.add_argument("--deadline", type=float, default=2.0,
                          help="per-request latency budget in seconds; "
                               "missed deadlines get HTTP 503 (default 2)")

@@ -120,12 +120,13 @@ class SessionExistsError(ServingError):
 
 
 class ServiceOverloadedError(ServingError):
-    """Admission control rejected a request (bounded queue full).
+    """Admission control rejected a request (too many already waiting).
 
     Maps to HTTP 429: the client should back off and retry.
     ``retry_after`` is the suggested back-off in seconds, derived by the
-    batcher from its current queue drain rate (how long until the queue
-    has room again), and surfaced as the HTTP ``Retry-After`` header.
+    admission gate from its waiters and smoothed per-request time (how
+    long until the line has cleared), and surfaced as the HTTP
+    ``Retry-After`` header.
     """
 
     def __init__(

@@ -13,7 +13,7 @@ Dependency-free (stdlib + numpy) telemetry for the EA-DRL runtime:
   one span model: nested wall-clock spans on one thread-local stack that
   feed ``repro_span_seconds``, are written as JSONL span records (a
   serve ``--trace-dir`` or the ``--trace PATH`` file), propagate across
-  threads and processes via ``X-Trace-Id`` / the RPC envelope, and are
+  processes via ``X-Trace-Id`` / the RPC envelope, and are
   assembled offline into timelines (:mod:`repro.obs.trace`,
   ``repro trace`` CLI);
 - :class:`JsonlSink` / :class:`PromTextSink` / :class:`MemorySink` —
@@ -51,7 +51,6 @@ from repro.obs.telemetry import (
     shutdown,
 )
 from repro.obs.trace import (
-    NEW_TRACE,
     NOOP_TRACE_SPAN,
     PARENT_SPAN_HEADER,
     TRACE_ID_HEADER,
@@ -76,7 +75,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "NEW_TRACE",
     "NOOP_TRACE_SPAN",
     "OBS",
     "PARENT_SPAN_HEADER",

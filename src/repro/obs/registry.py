@@ -215,7 +215,7 @@ class MetricsRegistry:
 
     All instruments created by one registry share its re-entrant lock, so
     snapshotting is consistent with respect to in-flight updates from
-    other threads (HTTP handlers, the batcher's collector).
+    other threads (HTTP handlers, shard RPC handler threads).
     """
 
     def __init__(

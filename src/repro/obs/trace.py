@@ -32,17 +32,16 @@ Two ways to open a span:
   children, so a 2,000-step loop does not write 2,000 lines; the rest
   still feed the histogram and count in
   ``repro_obs_spans_dropped_total``.
-- ``TRACER.span`` / ``child_span`` / ``record`` — request tracing.
+- ``TRACER.span`` / ``child_span`` — request tracing.
   :class:`TraceContext` ``(trace_id, span_id, baggage)`` is minted at
-  ingress (or adopted from an ``X-Trace-Id`` header) and propagated
-  across thread hops (captured by the micro-batcher) and process hops (a
+  ingress (or adopted from an ``X-Trace-Id`` header), flows down the
+  request's thread implicitly, and crosses process hops explicitly (a
   ``trace`` dict on the shard RPC envelope).
 
 :class:`TraceAssembler` reads any number of record files — skipping run
 events and meta lines — and stitches per-request timelines back
-together: parent/child trees across processes, wall-time coverage, a
-critical-path breakdown, and links from coalesced requests to their
-shared batch span. Surfaced as the ``repro trace`` CLI.
+together: parent/child trees across processes, wall-time coverage and
+a critical-path breakdown. Surfaced as the ``repro trace`` CLI.
 
 Disabled, every entry point costs one attribute read and returns
 :data:`NOOP_TRACE_SPAN`. Spans only *read* program state, so traced
@@ -74,11 +73,6 @@ MAX_SPANS_PER_PROCESS = 200_000
 #: ``OBS.span`` children a parent writes before further ones are
 #: dropped (still timed into the histogram, and counted).
 MAX_CHILDREN = 64
-
-#: Sentinel for ``Tracer.span(parent=NEW_TRACE)``: force a fresh root
-#: trace even when an ambient context is active (the shared batch span).
-NEW_TRACE = object()
-
 
 def new_id() -> str:
     """A fresh 64-bit lowercase-hex id (trace or span)."""
@@ -338,16 +332,12 @@ class Tracer:
         """Open a request span: child of ``parent`` (or the ambient context).
 
         ``parent=None`` uses the ambient context, minting a fresh root
-        trace when there is none (service ingress). ``parent=NEW_TRACE``
-        always mints a root (the shared batch span). Without request
+        trace when there is none (service ingress). Without request
         tracing this returns :data:`NOOP_TRACE_SPAN`.
         """
         if not self.enabled:
             return NOOP_TRACE_SPAN
-        if parent is NEW_TRACE:
-            parent_ctx = None
-        else:
-            parent_ctx = parent if parent is not None else self.current()
+        parent_ctx = parent if parent is not None else self.current()
         span_id = new_id()
         if parent_ctx is None:
             ctx = TraceContext(new_id(), span_id, attrs.pop("baggage", None))
@@ -366,23 +356,6 @@ class Tracer:
         if not self.enabled or self.current() is None:
             return NOOP_TRACE_SPAN
         return self.span(name, **attrs)
-
-    def record(
-        self,
-        name: str,
-        ctx: TraceContext,
-        *,
-        start: float,
-        duration: float,
-        **attrs,
-    ) -> None:
-        """Record an after-the-fact span under ``ctx`` (queue waits)."""
-        if not self.enabled:
-            return
-        self._record(
-            name, ctx.trace_id, new_id(), ctx.span_id,
-            start, duration, attrs,
-        )
 
     # ------------------------------------------------------------------
     # Wire formats
@@ -496,10 +469,7 @@ SPAN_CATEGORIES = {
     "service.create": "service",
     "service.info": "service",
     "service.close": "service",
-    "batcher.queue": "queue_wait",
-    "batcher.coalesce": "coalesce_wait",
-    "batcher.exec": "exec",
-    "batcher.batch": "batch_exec",
+    "gate.wait": "queue_wait",
     "rpc.shard": "rpc",
     "worker.handle": "worker",
     "store.restore": "restore",
@@ -624,22 +594,8 @@ class AssembledTrace:
             out[span.category] = out.get(span.category, 0.0) + self_time
         return dict(sorted(out.items(), key=lambda kv: -kv[1]))
 
-    def batch_links(self) -> List[Dict[str, str]]:
-        """(batch_trace, batch_span) links recorded by coalesced spans."""
-        links = []
-        seen = set()
-        for span in self.spans:
-            batch_span = span.attrs.get("batch_span")
-            if batch_span and batch_span not in seen:
-                seen.add(batch_span)
-                links.append({
-                    "batch_span": str(batch_span),
-                    "batch_trace": str(span.attrs.get("batch_trace", "")),
-                })
-        return links
-
     # ------------------------------------------------------------------
-    def render(self, assembler: Optional["TraceAssembler"] = None) -> str:
+    def render(self) -> str:
         """Human-readable timeline tree with the breakdown footer."""
         lines: List[str] = []
         root = self.root
@@ -693,16 +649,6 @@ class AssembledTrace:
             f"spans {len(self.spans)}  processes "
             f"{','.join(self.processes)}"
         )
-        links = self.batch_links()
-        if links and assembler is not None:
-            for link in links:
-                batch = assembler.span(link["batch_span"])
-                if batch is not None:
-                    lines.append(
-                        f"  linked batch span {link['batch_span']} "
-                        f"({batch.attrs.get('requests', '?')} request(s), "
-                        f"{batch.duration * 1e3:.2f} ms)"
-                    )
         return "\n".join(lines)
 
 
@@ -711,7 +657,6 @@ class TraceAssembler:
 
     def __init__(self) -> None:
         self._spans: Dict[str, List[SpanRecord]] = {}
-        self._index: Dict[str, SpanRecord] = {}
         #: Per-process drop counts from ``tracer_stop`` meta lines.
         self.dropped: Dict[str, int] = {}
         self.files_read = 0
@@ -731,7 +676,6 @@ class TraceAssembler:
             return
         span = SpanRecord(record)
         self._spans.setdefault(span.trace_id, []).append(span)
-        self._index[span.span_id] = span
 
     def add_file(self, path) -> "TraceAssembler":
         with Path(path).open("r", encoding="utf-8") as handle:
@@ -759,10 +703,6 @@ class TraceAssembler:
         return self
 
     # ------------------------------------------------------------------
-    def span(self, span_id: str) -> Optional[SpanRecord]:
-        """Cross-trace span lookup (resolves batch links)."""
-        return self._index.get(span_id)
-
     def traces(self) -> List[AssembledTrace]:
         """All assembled traces, earliest root first."""
         assembled = [
@@ -814,7 +754,6 @@ class TraceAssembler:
                 "breakdown_ms": {
                     k: v * 1e3 for k, v in t.breakdown().items()
                 },
-                "batch_links": t.batch_links(),
             })
         return {
             "traces": rows,

@@ -2,8 +2,8 @@
 
 A :class:`Deadline` pins a request's latency budget to one absolute
 point on the monotonic clock, so the *remaining* budget shrinks as the
-request moves through the stack (HTTP parse → admission → batcher queue
-→ shard RPC → session step) instead of resetting at every hop. Each hop
+request moves through the stack (HTTP parse → admission → wait for the
+service gate → shard RPC → session step) instead of resetting at every hop. Each hop
 sheds work whose deadline has already passed rather than spending
 compute on an answer the client has given up on.
 

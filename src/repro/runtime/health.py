@@ -8,8 +8,8 @@ renders the operator-facing report surfaced by ``repro.cli forecast
 --guard``.
 
 The registry is thread-safe: every mutator and reader takes an internal
-re-entrant lock. A served pool is shared between the HTTP threads that
-create sessions and the batcher's collector thread that steps them.
+re-entrant lock. A served pool is shared by every HTTP thread: one
+creates a session while another steps one through the service gate.
 """
 
 from __future__ import annotations

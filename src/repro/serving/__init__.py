@@ -11,8 +11,9 @@ process, stdlib + numpy only:
   per-session policy-agent cloning;
 - :class:`SessionStore` — bounded LRU with checkpoint-backed spill to
   disk; eviction + re-admission is bit-identical;
-- :class:`MicroBatcher` — bounded admission queue; each dispatch takes
-  whatever one-step requests are queued, without waiting for company;
+- :class:`MicroBatcher` — the admission gate: each one-step request
+  runs on its caller's thread, one at a time, behind a bounded count of
+  waiters;
 - :class:`ForecastService` — the transport-agnostic core with admission
   control, per-request deadlines, and a service circuit breaker;
 - :class:`ShardSupervisor` / :func:`make_service` — supervised shard

@@ -1,30 +1,30 @@
-"""Micro-batched request execution with bounded-queue admission control.
+"""In-thread admission gate for the service's one-step requests.
 
-Concurrent one-step requests land in a bounded queue; a single collector
-thread blocks for the first one, then takes whatever else is already
-queued as one dispatch. It never waits for company, so a lone request
-runs at once, and ``queue_limit`` bounds a dispatch. Requests carrying a
-``payload`` (the service's ``observe``) go to the ``group_handler`` as
-one list per dispatch; the rest run their ``fn`` one after another, in
-arrival order, on the collector thread.
-
+:meth:`MicroBatcher.submit` runs a request's ``fn`` on the calling
+thread while it holds one lock, so a service executes one request at a
+time, and the request's work stays in its own thread and its own trace.
 Backpressure is explicit and immediate:
 
-- queue full at submit time → :class:`ServiceOverloadedError` (HTTP 429,
-  the client should back off);
-- a request still queued past its deadline → its future fails with
-  :class:`DeadlineExceededError` (HTTP 503) *without* running, shedding
-  work the caller has already given up on;
-- after :meth:`close` the queue drains, then new submits are refused
-  with :class:`ServiceUnavailableError`.
+- ``queue_limit`` requests already waiting for the lock → the next one
+  is refused with :class:`ServiceOverloadedError` (HTTP 429, the client
+  should back off);
+- a request past its deadline at submit, or still waiting for the lock
+  when its deadline passes (the wait is bounded by the time it has
+  left) → :class:`DeadlineExceededError` (HTTP 503), and its ``fn``
+  never runs;
+- after :meth:`close` new submits are refused with
+  :class:`ServiceUnavailableError`; ``close`` waits for the requests
+  already admitted.
+
+The class name, the module and the ``group_handler=None`` keyword are
+held for the ledger benchmark's span wrappers
+(``benchmarks/ledger/spans.py``) until ROADMAP's "Ledger v2" item.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from concurrent.futures import Future
 from typing import Any, Callable, Optional
 
 from repro.exceptions import (
@@ -34,92 +34,42 @@ from repro.exceptions import (
     ServiceUnavailableError,
 )
 from repro.obs import OBS, get_logger
-from repro.obs.trace import NEW_TRACE, TRACER
+from repro.obs.trace import TRACER
 
 _LOG = get_logger("serving.batcher")
 
 
-class _Request:
-    __slots__ = (
-        "fn", "payload", "future", "deadline", "expires_at",
-        "trace_ctx", "enqueued_at",
-    )
-
-    def __init__(
-        self,
-        fn,
-        deadline: Optional[float],
-        expires_at: Optional[float] = None,
-        payload: Any = None,
-    ):
-        self.fn = fn
-        self.payload = payload
-        self.future: Future = Future()
-        self.deadline = deadline
-        # Trace propagation across the queue hop: the submitting
-        # thread's ambient context travels with the request so the
-        # collector thread keeps the causal chain.
-        self.trace_ctx = TRACER.current() if TRACER.enabled else None
-        self.enqueued_at = time.time() if self.trace_ctx is not None else 0.0
-        if expires_at is not None:
-            self.expires_at = expires_at
-        else:
-            self.expires_at = (
-                time.monotonic() + deadline if deadline is not None else None
-            )
-
-
-def _run_single(request: _Request) -> None:
-    # One failing request must not poison its batch-mates.
-    try:
-        if request.trace_ctx is not None and TRACER.enabled:
-            # Collector thread hop: reinstate the request's context so
-            # store/pool/actor child spans land in its trace.
-            with TRACER.span("batcher.exec", parent=request.trace_ctx):
-                result = request.fn()
-        else:
-            result = request.fn()
-    except BaseException as err:  # noqa: BLE001 - transported to the future
-        request.future.set_exception(err)
-    else:
-        request.future.set_result(result)
-
-
 class MicroBatcher:
-    """Dispatch queued requests together: payloads to the group handler,
-    the rest one by one on the collector thread."""
+    """Run each request on its caller's thread, one at a time."""
 
     def __init__(
         self,
         *,
         queue_limit: int = 256,
-        group_handler: Optional[Callable[[list], list]] = None,
+        group_handler: Optional[Callable] = None,
     ):
+        # Held for the ledger benchmark, which passes ``None``.
+        if group_handler is not None:
+            raise ConfigurationError(
+                "group_handler is no longer supported: every request "
+                "runs its own fn"
+            )
         if queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {queue_limit}"
             )
         self.queue_limit = int(queue_limit)
-        #: When set, requests submitted with a ``payload`` are handed to
-        #: this callable as one list per dispatch (lone payloads
-        #: included), in arrival order. The handler returns one outcome
-        #: per payload, aligned by index; an exception outcome fails
-        #: just that request's future.
-        self.group_handler = group_handler
-        self._queue: "queue.Queue[_Request]" = queue.Queue(
-            maxsize=queue_limit
-        )
-        self._closing = threading.Event()
-        self.batches = 0
         self.shed = 0
-        # EWMA of dispatch throughput (requests/second), maintained by
-        # the collector thread; backs the Retry-After hint handed to
-        # shed clients (how long until the queue plausibly has room).
-        self._drain_rate = 0.0
-        self._worker = threading.Thread(
-            target=self._run, name="repro-serving-batcher", daemon=True
-        )
-        self._worker.start()
+        #: Held while a request's ``fn`` runs.
+        self._gate = threading.Lock()
+        #: Guards the counters below and wakes :meth:`close`.
+        self._cond = threading.Condition()
+        self._waiting = 0
+        self._admitted = 0  # waiting or running
+        self._closed = False
+        # EWMA of one request's run time (seconds), updated under the
+        # gate; backs the Retry-After hint handed to refused clients.
+        self._request_seconds = 0.0
 
     # ------------------------------------------------------------------
     def submit(
@@ -128,219 +78,112 @@ class MicroBatcher:
         *,
         deadline: Optional[float] = None,
         expires_at: Optional[float] = None,
-        payload: Any = None,
-    ) -> Future:
-        """Enqueue ``fn`` for the next micro-batch; returns its future.
+    ) -> Any:
+        """Run ``fn`` once the gate is free; return its result.
 
         ``expires_at`` is an absolute ``time.monotonic()`` instant (wins
-        over ``deadline``, a relative budget) — the hop that lets an
-        end-to-end deadline propagate through the queue unchanged. Work
-        already past its deadline is shed at submit time, before it ever
-        occupies a queue slot.
-
-        ``payload`` routes the request to the batcher's
-        :attr:`group_handler` instead of ``fn``: all payloads of a
-        dispatch are handed over together, in arrival order. Requests
-        without a payload run ``fn``.
+        over ``deadline``, a relative budget), so an end-to-end deadline
+        passes through unchanged. ``fn``'s exception propagates to the
+        caller and leaves the gate free for the next request.
         """
-        if self._closing.is_set():
-            raise ServiceUnavailableError(
-                "batcher is shut down; refusing new work"
-            )
-        request = _Request(fn, deadline, expires_at, payload)
-        if (
-            request.expires_at is not None
-            and time.monotonic() > request.expires_at
-        ):
-            self.shed += 1
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "repro_serving_shed_total", {"reason": "deadline"}
-                ).inc()
-            raise DeadlineExceededError(request.deadline)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "repro_serving_shed_total", {"reason": "queue_full"}
-                ).inc()
-            raise ServiceOverloadedError(
-                self._queue.qsize(), self.queue_limit,
-                retry_after=self.retry_after_hint(),
-            ) from None
-        if OBS.enabled:
-            OBS.registry.gauge("repro_serving_queue_depth").set(
-                float(self._queue.qsize())
-            )
-        return request.future
-
-    # ------------------------------------------------------------------
-    def _collect(self) -> list:
-        """Block for one request, then take what is already queued."""
-        try:
-            first = self._queue.get(timeout=0.05)
-        except queue.Empty:
-            return []
-        batch = [first]
-        while True:
-            try:
-                batch.append(self._queue.get_nowait())
-            except queue.Empty:
-                return batch
-
-    def _dispatch(self, batch: list) -> None:
-        now = time.monotonic()
-        live = []
-        for request in batch:
-            if not request.future.set_running_or_notify_cancel():
-                continue  # caller cancelled while queued
-            if request.expires_at is not None and now > request.expires_at:
-                self.shed += 1
+        if expires_at is None and deadline is not None:
+            expires_at = time.monotonic() + deadline
+        with self._cond:
+            if self._closed:
+                raise ServiceUnavailableError(
+                    "batcher is shut down; refusing new work"
+                )
+            if expires_at is not None and time.monotonic() > expires_at:
+                self._shed_deadline()
+                raise DeadlineExceededError(deadline)
+            if self._waiting >= self.queue_limit:
                 if OBS.enabled:
                     OBS.registry.counter(
-                        "repro_serving_shed_total", {"reason": "deadline"}
+                        "repro_serving_shed_total", {"reason": "queue_full"}
                     ).inc()
-                request.future.set_exception(
-                    DeadlineExceededError(request.deadline)
+                raise ServiceOverloadedError(
+                    self._waiting, self.queue_limit,
+                    retry_after=self.retry_after_hint(),
                 )
-                continue
-            live.append(request)
-        if not live:
-            return
-        self.batches += 1
-        if OBS.enabled:
-            registry = OBS.registry
-            registry.histogram("repro_serving_batch_size").observe(
-                float(len(live))
-            )
-            registry.gauge("repro_serving_queue_depth").set(
-                float(self._queue.qsize())
-            )
-        batch_span = None
-        if TRACER.enabled:
-            traced = [r for r in live if r.trace_ctx is not None]
-            if traced:
-                # One shared span per dispatch, in its own trace: every
-                # coalesced request records a queue-wait span carrying a
-                # link to it, so the assembler can join a request's
-                # timeline to the batch it rode in.
-                batch_span = TRACER.span(
-                    "batcher.batch", parent=NEW_TRACE,
-                    requests=len(live),
-                    linked_traces=[
-                        r.trace_ctx.trace_id for r in traced[:32]
-                    ],
+            self._waiting += 1
+            self._admitted += 1
+            self._set_depth()
+        try:
+            if not self._acquire(expires_at):
+                with self._cond:
+                    self._shed_deadline()
+                raise DeadlineExceededError(deadline)
+            t0 = time.perf_counter()
+            try:
+                return fn()
+            finally:
+                elapsed = time.perf_counter() - t0
+                self._request_seconds = (
+                    elapsed if self._request_seconds == 0.0
+                    else 0.3 * elapsed + 0.7 * self._request_seconds
                 )
-                now_wall = time.time()
-                for request in traced:
-                    TRACER.record(
-                        "batcher.queue", request.trace_ctx,
-                        start=request.enqueued_at,
-                        duration=max(0.0, now_wall - request.enqueued_at),
-                        batch_span=batch_span.ctx.span_id,
-                        batch_trace=batch_span.ctx.trace_id,
-                    )
-        grouped = [r for r in live if r.payload is not None]
-        singles = [r for r in live if r.payload is None]
+                self._gate.release()
+        finally:
+            with self._cond:
+                self._admitted -= 1
+                self._cond.notify_all()
 
-        def execute() -> None:
-            if grouped:
-                self._dispatch_grouped(grouped)
-            for request in singles:
-                _run_single(request)
+    def _acquire(self, expires_at: Optional[float]) -> bool:
+        """Take the gate, waiting at most until ``expires_at``.
 
-        t0 = time.monotonic()
-        if batch_span is not None:
-            with batch_span:
-                execute()
-        else:
-            execute()
-        elapsed = max(1e-6, time.monotonic() - t0)
-        instant = len(live) / elapsed
-        self._drain_rate = (
-            instant if self._drain_rate == 0.0
-            else 0.3 * instant + 0.7 * self._drain_rate
-        )
-
-    def _dispatch_grouped(self, grouped: list) -> None:
-        """Run payload-carrying requests through the group handler.
-
-        The handler returns one outcome per payload (exceptions as
-        values); a handler-level failure fails every grouped future but
-        never the collector.
+        A wait gets its own span, so a traced request's time in line is
+        attributed rather than lost between spans.
         """
         try:
-            outcomes = self.group_handler(
-                [request.payload for request in grouped]
-            )
-            if len(outcomes) != len(grouped):
-                raise RuntimeError(
-                    f"group handler returned {len(outcomes)} outcomes "
-                    f"for {len(grouped)} requests"
+            if self._gate.acquire(blocking=False):
+                return True
+            with TRACER.child_span("gate.wait"):
+                if expires_at is None:
+                    return self._gate.acquire()
+                return self._gate.acquire(
+                    timeout=max(0.0, expires_at - time.monotonic())
                 )
-        except BaseException as err:  # noqa: BLE001 - fail the group only
-            _LOG.error("grouped dispatch failed: %s", err)
-            for request in grouped:
-                request.future.set_exception(err)
-            return
-        for request, outcome in zip(grouped, outcomes):
-            if isinstance(outcome, BaseException):
-                request.future.set_exception(outcome)
-            else:
-                request.future.set_result(outcome)
+        finally:
+            with self._cond:
+                self._waiting -= 1
+                self._set_depth()
 
-    def _run(self) -> None:
-        while not (self._closing.is_set() and self._queue.empty()):
-            batch = self._collect()
-            if not batch:
-                continue
-            try:
-                self._dispatch(batch)
-            except BaseException as err:  # noqa: BLE001 - keep serving
-                # A dispatch-level failure (tracing, bookkeeping, ...)
-                # fails the whole batch but must not kill the collector.
-                _LOG.error("batch dispatch failed: %s", err)
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(err)
-        # Drain anything that raced past the closing check.
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request.future.set_running_or_notify_cancel():
-                request.future.set_exception(
-                    ServiceUnavailableError("batcher shut down")
-                )
+    def _shed_deadline(self) -> None:
+        self.shed += 1
+        if OBS.enabled:
+            OBS.registry.counter(
+                "repro_serving_shed_total", {"reason": "deadline"}
+            ).inc()
+
+    def _set_depth(self) -> None:
+        if OBS.enabled:
+            OBS.registry.gauge("repro_serving_queue_depth").set(
+                float(self._waiting)
+            )
 
     # ------------------------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work, finish the queue, join the collector."""
-        self._closing.set()
-        self._worker.join(timeout=timeout)
-        if self._worker.is_alive():  # pragma: no cover - pathological
-            _LOG.warning("batcher collector did not exit within %.1fs",
-                         timeout)
+        """Refuse new work, then wait for the admitted requests."""
+        with self._cond:
+            self._closed = True
+            if not self._cond.wait_for(
+                lambda: self._admitted == 0, timeout=timeout
+            ):  # pragma: no cover - pathological
+                _LOG.warning("%d request(s) still running after %.1fs",
+                             self._admitted, timeout)
 
     @property
     def depth(self) -> int:
-        return self._queue.qsize()
-
-    @property
-    def drain_rate(self) -> float:
-        """Smoothed dispatch throughput, requests per second."""
-        return self._drain_rate
+        """Requests waiting for the gate."""
+        return self._waiting
 
     def retry_after_hint(self) -> float:
         """Suggested client back-off (seconds) after a 429.
 
-        Queue depth over the smoothed drain rate — roughly when the
-        queue will have room again — clamped to [0.05 s, 5 s]. Before
-        any batch has completed (no rate yet), the floor applies.
+        Waiters times the smoothed per-request time — roughly when the
+        line will have cleared — clamped to [0.05 s, 5 s]. Before any
+        request has run, the floor applies.
         """
-        rate = self._drain_rate
-        if rate <= 0.0:
+        if self._request_seconds <= 0.0:
             return 0.05
-        return min(5.0, max(0.05, self._queue.qsize() / rate))
+        return min(5.0, max(0.05, self._waiting * self._request_seconds))

@@ -2,7 +2,7 @@
 
 A thin, dependency-free adapter: every route parses JSON, calls one
 service operation, and maps the service's failure taxonomy onto status
-codes. All forecasting semantics (admission control, micro-batching,
+codes. All forecasting semantics (admission control, deadlines,
 breaker, metrics) live in the service — the HTTP layer adds nothing but
 transport.
 
@@ -151,8 +151,8 @@ class _Handler(BaseHTTPRequestHandler):
         payload = {"error": type(error).__name__, "detail": str(error)}
         headers = None
         if isinstance(error, ServiceOverloadedError):
-            # Back-off derived by the batcher from its queue drain
-            # rate: roughly when the queue will have room again.
+            # Back-off derived by the admission gate: roughly when
+            # the requests waiting ahead will have run.
             payload["retry_after"] = error.retry_after
             headers = {"Retry-After": f"{error.retry_after:g}"}
         if isinstance(error, SessionCorruptError):

@@ -3,17 +3,19 @@
 :class:`ForecastService` composes the serving subsystem — the shared
 :class:`~repro.serving.bundle.ModelBundle`, the LRU
 :class:`~repro.serving.store.SessionStore`, and the
-:class:`~repro.serving.batcher.MicroBatcher` — behind five operations
-(``create_session``, ``observe``, ``predict``, ``close_session``,
-``session_info``) plus ``health``/``stats``. The HTTP frontend
-(:mod:`repro.serving.http`) and in-process callers (the benchmark, the
-tests) speak to the same object, so admission control, the circuit
-breaker, and the metrics are exercised identically in both.
+:class:`~repro.serving.batcher.MicroBatcher` admission gate — behind
+five operations (``create_session``, ``observe``, ``predict``,
+``close_session``, ``session_info``) plus ``health``/``stats``. Every
+operation runs on the calling thread; ``observe`` and ``predict`` pass
+the gate one at a time. The HTTP frontend (:mod:`repro.serving.http`)
+and in-process callers (the benchmark, the tests) speak to the same
+object, so admission control, the circuit breaker, and the metrics are
+exercised identically in both.
 
 Failure taxonomy (the HTTP layer maps these one-to-one onto status
 codes):
 
-- :class:`ServiceOverloadedError` — bounded queue full, HTTP 429;
+- :class:`ServiceOverloadedError` — too many requests waiting, HTTP 429;
 - :class:`DeadlineExceededError` — request missed its latency budget,
   HTTP 503;
 - :class:`ServiceUnavailableError` — circuit open or shutting down,
@@ -31,9 +33,8 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -74,10 +75,10 @@ class ServiceConfig:
         fresh temporary directory (sessions then do not survive a
         process restart).
     queue_limit:
-        Admission bound: requests beyond this are rejected immediately
-        with :class:`ServiceOverloadedError`. It also bounds a
-        micro-batch, which takes whatever is queued and never waits
-        for company; each ``observe`` in it runs the serial
+        Admission bound: a request that finds this many others waiting
+        for the gate is rejected immediately with
+        :class:`ServiceOverloadedError`. The gate runs one request at a
+        time on its caller's thread; an ``observe`` runs the serial
         :meth:`SeriesSession.observe` step.
     deadline:
         Per-request latency budget in seconds; requests that cannot
@@ -89,8 +90,8 @@ class ServiceConfig:
         construction with :class:`ConfigurationError` instead of
         surfacing at the first observe. ``None`` serves any bundle.
     executor:
-        Selects nothing: every request runs serially on the batcher's
-        collector thread, and ``shards`` alone picks the shard runtime.
+        Selects nothing: every request runs serially on its caller's
+        thread, and ``shards`` alone picks the shard runtime.
         The field stays only so existing callers that pass
         ``"serial"``, ``"thread"`` or ``"process"`` keep working (the
         ledger benchmark's server does); ``"process"`` is accepted only
@@ -213,10 +214,7 @@ class ForecastService:
         # Spill restores are attributed per tenant (bounded by the
         # accountant's cap, never per raw session id in the registry).
         self.store.restore_listener = self.tenants.record_restore
-        self.batcher = MicroBatcher(
-            queue_limit=self.config.queue_limit,
-            group_handler=self._observe_batch,
-        )
+        self.batcher = MicroBatcher(queue_limit=self.config.queue_limit)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             cooldown_steps=self.config.breaker_cooldown,
@@ -323,30 +321,13 @@ class ForecastService:
     def _deadline(self, deadline) -> Deadline:
         return coerce_deadline(deadline, self.config.deadline)
 
-    def _submit(self, fn, deadline: Deadline, payload=None):
-        """Push work through the batcher and wait out the deadline."""
-        expires_at = None if deadline.unbounded else deadline.expires_at
-        future = self.batcher.submit(
+    def _submit(self, fn, deadline: Deadline):
+        """Run ``fn`` through the admission gate within ``deadline``."""
+        return self.batcher.submit(
             fn,
             deadline=self.config.deadline,
-            expires_at=expires_at,
-            payload=payload,
+            expires_at=None if deadline.unbounded else deadline.expires_at,
         )
-        # Grace beyond the deadline covers work that *started* in time;
-        # a hang four budgets long is treated as unavailability.
-        timeout = (
-            self.config.deadline * 4
-            if deadline.unbounded
-            else deadline.remaining() + self.config.deadline
-        )
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise ServiceUnavailableError(
-                "request did not complete within its deadline grace "
-                "period"
-            ) from None
 
     def observe(
         self,
@@ -369,7 +350,9 @@ class ForecastService:
 
         def run():
             self._admit()
-            return self._submit(None, dl, payload=(session_id, value, seq))
+            return self._submit(
+                lambda: self._observe_one(session_id, value, seq), dl
+            )
 
         return self._timed("observe", run, tenant=session_id)
 
@@ -395,26 +378,6 @@ class ForecastService:
                 f"after {holder.ack_seq}"
             )
         return None
-
-    # ------------------------------------------------------------------
-    # Observe: the serial session step, once per payload
-    # ------------------------------------------------------------------
-    def _observe_batch(self, payloads: List[Tuple]) -> list:
-        """Group handler for the micro-batcher's observes.
-
-        Runs every payload of a dispatch through the serial session step
-        (:meth:`SeriesSession.observe`) in arrival order, so repeated
-        session ids keep their order. Outcomes are index-aligned and
-        exceptions travel as values: one slot's failure (a missing or
-        corrupt session, a stale ``seq``) never touches the others.
-        """
-        outcomes: list = []
-        for sid, value, seq in payloads:
-            try:
-                outcomes.append(self._observe_one(sid, value, seq))
-            except BaseException as err:  # noqa: BLE001 - to the future
-                outcomes.append(err)
-        return outcomes
 
     def _observe_one(
         self, session_id: str, value: float, seq: Optional[int]
@@ -595,7 +558,6 @@ class ForecastService:
             "sessions": self.store.stats(),
             "queue_depth": self.batcher.depth,
             "queue_limit": self.batcher.queue_limit,
-            "batches": self.batcher.batches,
             "shed": self.batcher.shed,
             "breaker": self.breaker.state.value,
             "uptime_seconds": round(time.time() - self._started_at, 3),
@@ -626,7 +588,6 @@ class ForecastService:
         summary = {
             "spilled": spilled,
             "sessions": self.store.stats(),
-            "batches": self.batcher.batches,
         }
         _LOG.info(
             "service shut down: %d session(s) spilled to disk", spilled

@@ -57,8 +57,8 @@ _LOG = get_logger("serving.shard")
 #: Seconds between heartbeat writes inside the worker.
 HEARTBEAT_INTERVAL = 0.2
 
-#: Handler threads per worker (requests are numpy-bound; the inner
-#: service's micro-batcher does its own fan-out on top).
+#: Handler threads per worker. Each runs its request to the end; the
+#: inner service's gate lets one step at a time.
 WORKER_THREADS = 4
 
 

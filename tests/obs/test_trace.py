@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
 from repro.obs import (
-    NEW_TRACE,
     NOOP_TRACE_SPAN,
     TRACER,
     TraceAssembler,
@@ -87,13 +85,6 @@ class TestPropagation:
         with TRACER.span("http.request"):
             assert TRACER.child_span("store.restore") is not NOOP_TRACE_SPAN
 
-    def test_new_trace_sentinel_forces_fresh_root(self, tmp_path):
-        TRACER.enable(tmp_path, "unit")
-        with TRACER.span("http.request") as root:
-            batch = TRACER.span("batcher.batch", parent=NEW_TRACE)
-            assert batch.ctx.trace_id != root.ctx.trace_id
-            assert batch.parent_id is None
-
     def test_wire_round_trip(self):
         ctx = TraceContext("a" * 16, "b" * 16, {"tenant": "t1"})
         back = TraceContext.from_wire(ctx.to_wire())
@@ -116,26 +107,13 @@ class TestPropagation:
         seen = {}
 
         def worker():
-            with TRACER.span("batcher.exec", parent=captured) as span:
+            with TRACER.span("worker.handle", parent=captured) as span:
                 seen["trace"] = span.ctx.trace_id
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
         assert seen["trace"] == root.ctx.trace_id
-
-    def test_record_after_the_fact(self, tmp_path):
-        TRACER.enable(tmp_path, "unit")
-        ctx = TraceContext("c" * 16, "d" * 16)
-        start = time.time() - 0.5
-        TRACER.record("batcher.queue", ctx, start=start, duration=0.25,
-                      batch_span="e" * 16)
-        TRACER.disable()
-        (path,) = tmp_path.glob("trace-unit.*.jsonl")
-        (span,) = [r for r in _records(path) if "meta" not in r]
-        assert span["trace"] == "c" * 16
-        assert span["parent"] == "d" * 16
-        assert span["dur"] == 0.25
 
 
 class TestAssembly:
@@ -161,8 +139,7 @@ class TestAssembly:
              "start": t0 + 0.05, "dur": 0.9},
             {"trace": "t1", "span": "rs", "parent": "wk",
              "name": "store.restore", "process": "shard-0", "pid": 2,
-             "start": t0 + 0.1, "dur": 0.4,
-             "attrs": {"batch_span": "b1", "batch_trace": "t9"}},
+             "start": t0 + 0.1, "dur": 0.4},
             "not json at all",
         ]) + "\n")
         return tmp_path
@@ -186,12 +163,8 @@ class TestAssembly:
         assert breakdown["worker"] == pytest.approx(0.5)
         assert breakdown["rpc"] == pytest.approx(0.05)
 
-    def test_batch_links_and_drop_totals(self, tmp_path):
+    def test_drop_totals(self, tmp_path):
         assembler = assemble_trace_dir(self._write_trace(tmp_path))
-        trace = assembler.trace("t1")
-        assert trace.batch_links() == [
-            {"batch_span": "b1", "batch_trace": "t9"}
-        ]
         assert assembler.spans_dropped == 3
         assert assembler.dropped == {"frontend": 3}
 
@@ -208,7 +181,7 @@ class TestAssembly:
 
     def test_render_shows_tree_and_coverage(self, tmp_path):
         assembler = assemble_trace_dir(self._write_trace(tmp_path))
-        text = assembler.trace("t1").render(assembler)
+        text = assembler.trace("t1").render()
         assert "http.request" in text
         assert "worker.handle [shard-0]" in text
         assert "coverage 95.0%" in text

@@ -7,6 +7,10 @@ pool members; tests derive fresh sessions/stores/services from them.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -81,20 +85,52 @@ def agent_bundles(series, bundle):
     return bundles
 
 
-def batch_subtree_names(assembler, trace) -> set:
-    """Span names under the ``batcher.batch`` span a request rode in.
+def observe_subtree_names(trace) -> set:
+    """Span names under the request's ``service.observe`` span.
 
-    The request's ``batcher.queue`` span links to the dispatch's shared
-    batch span (its own trace); the group handler's session steps run
-    beneath that span.
+    Asserts first that the trace is one tree: a single root and no
+    span whose parent is missing, so the served work (``store.*``,
+    ``pool.eval``, ``actor.forward``) sits in the request's own trace.
     """
-    queue = [s for s in trace.spans if s.name == "batcher.queue"]
-    assert len(queue) == 1
-    batch = assembler.span(queue[0].attrs["batch_span"])
-    assert batch is not None and batch.name == "batcher.batch"
-    batch_trace = assembler.trace(batch.trace_id)
-    names, frontier = set(), [batch]
+    assert trace.orphans == 0
+    assert [s for s in trace.spans if s.parent_id is None] == [trace.root]
+    (observe,) = [
+        s for s in trace.children(trace.root) if s.name == "service.observe"
+    ]
+    names, frontier = set(), [observe]
     while frontier:
-        frontier = [c for s in frontier for c in batch_trace.children(s)]
+        frontier = [c for s in frontier for c in trace.children(s)]
         names.update(c.name for c in frontier)
     return names
+
+
+@contextlib.contextmanager
+def gate_held(batcher, waiters: int = 0):
+    """Hold ``batcher``'s gate from a helper thread, with ``waiters``
+    more requests parked behind it, until the block exits."""
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        entered.set()
+        return release.wait(timeout=10)
+
+    holder = threading.Thread(target=batcher.submit, args=(hold,))
+    holder.start()
+    assert entered.wait(timeout=5)
+    parked = [
+        threading.Thread(target=batcher.submit, args=(lambda: None,))
+        for _ in range(waiters)
+    ]
+    try:
+        for thread in parked:
+            thread.start()
+        give_up = time.monotonic() + 5
+        while batcher.depth < waiters:
+            assert time.monotonic() < give_up, "waiters never parked"
+            time.sleep(0.001)
+        yield
+    finally:
+        release.set()
+        for thread in [holder, *parked]:
+            thread.join(timeout=5)
+            assert not thread.is_alive()

@@ -64,7 +64,7 @@ class TestBatchedObserveAcrossAgents:
     @pytest.mark.parametrize("name", ["td3", "sac"])
     def test_batched_observe_matches_serial(self, agent_bundles, series,
                                             tmp_path, name):
-        """The group handler ≡ the serial step of twin sessions."""
+        """Served observes ≡ the serial step of twin sessions."""
         bundle = agent_bundles[name]
         batched = _service(bundle, tmp_path, f"{name}-batched")
         try:
@@ -74,10 +74,8 @@ class TestBatchedObserveAcrossAgents:
                 batched.create_session(sid, series[:200])
                 twins[sid] = bundle.create_session(sid, series[:200])
             for value in series[200:210]:
-                outcomes = batched._observe_batch(
-                    [(sid, float(value), None) for sid in ids]
-                )
-                for got, sid in zip(outcomes, ids):
+                for sid in ids:
+                    got = batched.observe(sid, float(value))
                     want = twins[sid].observe(float(value))
                     assert np.float64(got["forecast"]) == np.float64(want)
         finally:

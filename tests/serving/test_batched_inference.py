@@ -1,12 +1,12 @@
 """Served observes vs the serial session step, for every agent.
 
-Every served ``observe`` runs through ``ForecastService._observe_batch``,
-a loop of ``SeriesSession.observe`` over the dispatch in arrival order.
-It must give byte-for-byte the same forecasts, session steps and
+Every served ``observe`` runs the serial ``SeriesSession.observe`` step
+on its caller's thread, one request at a time through the service's
+admission gate. It must give byte-for-byte the same forecasts, session steps and
 checkpoint arrays as twin sessions built with
 ``ModelBundle.create_session`` and stepped one at a time, for DDPG, TD3
 and SAC alike. Repeated session ids keep their arrival order, and a
-missing or corrupt session fails or degrades only its own slot.
+missing or corrupt session fails or degrades only its own request.
 Comparisons are bitwise — ``==`` / ``array_equal`` — never ``allclose``.
 """
 
@@ -67,6 +67,18 @@ def assert_checkpoints_equal(service, twins):
             )
 
 
+def observe_all(service, requests):
+    """Serve ``(session, value, seq)`` requests in order; an exception
+    is returned in its request's slot."""
+    outcomes = []
+    for sid, value, seq in requests:
+        try:
+            outcomes.append(service.observe(sid, value, seq=seq))
+        except Exception as err:  # noqa: BLE001 - surfaced to the test
+            outcomes.append(err)
+    return outcomes
+
+
 def concurrent_observe(service, ids, value):
     """Submit one observe per session at the same instant."""
     out, errors = {}, []
@@ -93,7 +105,8 @@ class TestBitIdentity:
         self, service, agent_bundle, series
     ):
         """Lockstep fleets; a level shift forces drift-triggered policy
-        updates mid-run, so dispatches straddle weight changes."""
+        updates mid-run, so concurrent requests straddle weight
+        changes."""
         ids = [f"t-{i}" for i in range(6)]
         twins = open_sessions(service, agent_bundle, ids, series[:200])
         saw_update = False
@@ -111,20 +124,19 @@ class TestBitIdentity:
     def test_singleton_request_runs_through_group(
         self, service, agent_bundle, series
     ):
-        """A lone observe is one dispatch of the group handler, bitwise
-        equal to the serial step over many steps."""
+        """A lone observe is bitwise equal to the serial step over many
+        steps."""
         twins = open_sessions(service, agent_bundle, ["solo"], series[:200])
         steps = 30
         for step in range(steps):
             value = float(series[200 + step])
             resp = service.observe("solo", value)
             assert_matches_twin(resp, twins["solo"], value)
-        assert service.batcher.batches == steps
         assert_checkpoints_equal(service, twins)
 
 
 class TestFallbacks:
-    """Drive ``_observe_batch`` directly: deterministic dispatches."""
+    """Serve requests one after another: a deterministic order."""
 
     def test_duplicate_session_ids_serialise_in_arrival_order(
         self, service, agent_bundle, series
@@ -134,8 +146,8 @@ class TestFallbacks:
                 service, agent_bundle, sorted(set(order)), series[:200]
             )
             values = [float(series[200 + k]) for k in range(len(order))]
-            outcomes = service._observe_batch(
-                [(sid, v, None) for sid, v in zip(order, values)]
+            outcomes = observe_all(
+                service, [(sid, v, None) for sid, v in zip(order, values)]
             )
             # Bit-identical to the twins fed the same arrival order.
             for got, sid, value in zip(outcomes, order, values):
@@ -152,7 +164,7 @@ class TestFallbacks:
     ):
         twins = open_sessions(service, agent_bundle, ["alive"], series[:200])
         value = float(series[200])
-        outcomes = service._observe_batch([
+        outcomes = observe_all(service, [
             ("ghost", value, None),
             ("alive", value, None),
         ])
@@ -173,7 +185,7 @@ class TestFallbacks:
             assert service.store.spill_all() >= 1
             assert corrupt_all_snapshots(spill / "victim") >= 1
             value = float(series[200])
-            outcomes = service._observe_batch([
+            outcomes = observe_all(service, [
                 ("h1", value, None),
                 ("victim", value, None),
                 ("h2", value, None),
@@ -199,7 +211,7 @@ class TestFallbacks:
             assert service.store.spill_all() >= 1
             assert corrupt_all_snapshots(spill / "victim") >= 1
             value = float(series[200])
-            outcomes = service._observe_batch([
+            outcomes = observe_all(service, [
                 ("victim", value, None),
                 ("h1", value, None),
             ])
@@ -211,12 +223,12 @@ class TestFallbacks:
     def test_seq_idempotency_through_batched_path(self, service, series):
         service.create_session("seq", series[:200])
         value = float(series[200])
-        first = service._observe_batch([("seq", value, 1)])[0]
-        replay = service._observe_batch([("seq", value, 1)])[0]
+        first = observe_all(service, [("seq", value, 1)])[0]
+        replay = observe_all(service, [("seq", value, 1)])[0]
         assert replay["duplicate"] is True
         assert np.float64(replay["forecast"]) == np.float64(
             first["forecast"]
         )
         assert replay["step"] == first["step"]
-        second = service._observe_batch([("seq", value, 2)])[0]
+        second = observe_all(service, [("seq", value, 2)])[0]
         assert second["step"] == first["step"] + 1

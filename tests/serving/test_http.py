@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +10,7 @@ import pytest
 
 from repro.obs import OBS, MemorySink, TelemetryConfig
 from repro.serving import ForecastHTTPServer, ForecastService, ServiceConfig
-from tests.serving.conftest import batch_subtree_names
+from tests.serving.conftest import gate_held, observe_subtree_names
 
 
 @pytest.fixture()
@@ -156,27 +154,21 @@ class TestErrorMapping:
             ),
         )
         srv = ForecastHTTPServer(service, port=0).start()
-        release = threading.Event()
         try:
             _json(srv, "POST", "/v1/sessions", {
                 "session": "shed", "history": series[:180].tolist(),
             })
-            blocker = service.batcher.submit(release.wait)
-            time.sleep(0.1)
-            service.batcher.submit(lambda: None)  # queue now full
-            status, raw, headers = _request(
-                srv, "POST", "/v1/sessions/shed/observe", {"y": 1.0}
-            )
+            with gate_held(service.batcher, waiters=1):
+                status, raw, headers = _request(
+                    srv, "POST", "/v1/sessions/shed/observe", {"y": 1.0}
+                )
             payload = json.loads(raw)
             assert status == 429
             assert payload["error"] == "ServiceOverloadedError"
             assert "Retry-After" in headers
             assert 0.05 <= float(headers["Retry-After"]) <= 5.0
             assert payload["retry_after"] == float(headers["Retry-After"])
-            release.set()
-            assert blocker.result(timeout=5) is True
         finally:
-            release.set()
             srv.shutdown()
 
 
@@ -364,8 +356,8 @@ class TestTracing:
         assert "service.observe" in {
             s.name for s in pinned_trace.children(root)
         }
-        assert {"pool.eval", "actor.forward"} <= batch_subtree_names(
-            assembler, pinned_trace
+        assert {"pool.eval", "actor.forward"} <= observe_subtree_names(
+            pinned_trace
         )
 
     def test_untraced_service_sends_no_trace_header(self, server, series):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from repro.serving import (
     ShardSupervisor,
     make_service,
 )
+from tests.serving.conftest import gate_held
 
 
 @pytest.fixture()
@@ -179,18 +179,11 @@ class TestOverload:
         )
         try:
             svc.create_session("slow", series[:180])
-            release = threading.Event()
-            blocker = svc.batcher.submit(release.wait)
-            import time
-
-            time.sleep(0.1)  # collector now blocked on the event
-            svc.batcher.submit(lambda: None)  # fills the queue
-            with pytest.raises(ServiceOverloadedError):
-                svc.observe("slow", 1.0)
-            release.set()
-            assert blocker.result(timeout=5) is True
+            # One request runs, one waits: the limit of one is reached.
+            with gate_held(svc.batcher, waiters=1):
+                with pytest.raises(ServiceOverloadedError):
+                    svc.observe("slow", 1.0)
         finally:
-            release.set()
             svc.shutdown()
 
 

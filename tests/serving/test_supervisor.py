@@ -31,7 +31,7 @@ from repro.serving import (
     make_service,
 )
 from repro.serving.shard import _DECODERS, decode_error, encode_error
-from tests.serving.conftest import batch_subtree_names
+from tests.serving.conftest import observe_subtree_names
 
 
 #: One instance of every type the worker-to-supervisor transport knows.
@@ -332,8 +332,8 @@ class TestDistributedTracing:
         assert any(p.startswith("shard-") for p in trace.processes)
         assert "frontend" in trace.processes
         assert trace.orphans == 0
-        assert {"pool.eval", "actor.forward"} <= batch_subtree_names(
-            assembler, trace
+        assert {"worker.handle", "pool.eval", "actor.forward"} <= (
+            observe_subtree_names(trace)
         )
 
 
